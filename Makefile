@@ -64,7 +64,7 @@ serve-smoke:
 # 1ns slow-compile threshold, POSTs one compile, asserts the
 # Prometheus exposition parses with nonzero
 # compile_stage_duration_seconds buckets, fetches the job's Chrome
-# trace JSON from /debug/trace/{id}, and requires the slow-compile
+# trace JSON from /v1/debug/traces/{id}, and requires the slow-compile
 # span tree on stderr.
 obs-smoke:
 	$(GO) test -race -run TestObsSmoke -count=1 -v ./cmd/bisramgend/

@@ -1,12 +1,12 @@
-// Command bisramgate is the BISRAMGEN federation gateway: one HTTP
-// surface speaking the daemon's /v1 contract in front of a fleet of
-// bisramgend shards. Compile submissions and key-addressed reads
-// route to the content key's consistent-hash owner (failing over to
-// ring successors while a shard is down), job reads follow the shard
-// that accepted the job, and sweeps fan their points across the fleet
-// — merged into a results document byte-identical to a single
-// daemon's, because every shard derives the same bytes from the same
-// canonical key.
+// Command bisramgate is the BISRAMGEN federation gateway: the daemon's
+// /v1 surface (internal/server) over the fleet backend
+// (internal/cluster) in front of a fleet of bisramgend shards.
+// Compile submissions and key-addressed reads route to the content
+// key's consistent-hash owner (failing over to ring successors while
+// a shard is down), job reads follow the shard that accepted the job,
+// and sweeps fan their points across the fleet — merged into a
+// results document byte-identical to a single daemon's, because every
+// shard derives the same bytes from the same canonical key.
 //
 // Example:
 //
@@ -19,22 +19,17 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
-	"os/signal"
 	"runtime"
-	"strings"
-	"syscall"
 	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/cluster"
 	"repro/internal/jobs"
 	"repro/internal/obs"
+	"repro/internal/server"
 )
 
 func main() {
@@ -54,95 +49,46 @@ func main() {
 	flag.Parse()
 
 	if *shards == "" {
-		fmt.Fprintln(os.Stderr, "bisramgate: -shards is required")
-		os.Exit(1)
+		fatalf("-shards is required")
 	}
-	members := strings.Split(*shards, ",")
-	for i := range members {
-		members[i] = strings.TrimSuffix(strings.TrimSpace(members[i]), "/")
-	}
-	ring, err := cluster.NewRing(members, cluster.DefaultVNodes)
+	ring, err := cluster.ParseRing(*shards)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "bisramgate: -shards: %v\n", err)
-		os.Exit(1)
+		fatalf("-shards: %v", err)
 	}
-
-	var inj *chaos.Injector
-	if *chaosSpec != "" {
-		if strings.HasPrefix(strings.TrimSpace(*chaosSpec), "{") {
-			inj, err = chaos.Parse([]byte(*chaosSpec))
-		} else {
-			inj, err = chaos.Load(*chaosSpec)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bisramgate: chaos spec: %v\n", err)
-			os.Exit(1)
-		}
+	inj, err := chaos.LoadSpec(*chaosSpec)
+	if err != nil {
+		fatalf("chaos spec: %v", err)
+	}
+	if inj != nil {
 		fmt.Fprintln(os.Stderr, "bisramgate: CHAOS INJECTION ENABLED — not for production use")
 	}
 
 	reg := obs.NewRegistry()
 	tab := cluster.NewTable(ring)
-	q := jobs.New(jobs.Config{
-		Workers:  *routeWorkers,
-		Capacity: *queueDepth,
-		Deadline: *deadline,
-		Registry: reg,
-	})
-	gw, err := cluster.NewGateway(cluster.GatewayConfig{
-		Table:              tab,
-		Queue:              q,
-		Registry:           reg,
-		Chaos:              inj,
-		SweepMaxPoints:     *sweepMax,
-		SSEHeartbeat:       *sseHeartbeat,
-		FleetScrapeTimeout: *scrapeWait,
-	})
+	fleet, err := cluster.NewFleet(cluster.FleetConfig{Table: tab, Registry: reg, Chaos: inj, ScrapeTimeout: *scrapeWait})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "bisramgate: %v\n", err)
-		os.Exit(1)
+		fatalf("%v", err)
 	}
+	q := jobs.New(jobs.Config{Workers: *routeWorkers, Capacity: *queueDepth, Deadline: *deadline, Registry: reg})
+	srv := server.New(server.Config{
+		Queue:          q,
+		Backend:        fleet,
+		Cluster:        cluster.View{Table: tab},
+		Metrics:        reg,
+		Chaos:          inj,
+		SweepMaxPoints: *sweepMax,
+		SSEHeartbeat:   *sseHeartbeat,
+	})
 	stopProbing := tab.StartProbing(*probeEvery)
 	defer stopProbing()
 
-	httpSrv := &http.Server{
-		Addr:              *addr,
-		Handler:           gw.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
+	banner := fmt.Sprintf("listening on %s in front of %d shard(s) (%d up)", *addr, tab.PeersTotal(), tab.PeersUp())
+	if code := server.Serve("bisramgate", *addr, srv.Handler(), q, *drainTimeout, banner); code != 0 {
+		os.Exit(code)
 	}
+}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	errCh := make(chan error, 1)
-	go func() {
-		fmt.Fprintf(os.Stderr, "bisramgate: listening on %s in front of %d shard(s) (%d up)\n",
-			*addr, tab.PeersTotal(), tab.PeersUp())
-		errCh <- httpSrv.ListenAndServe()
-	}()
-
-	select {
-	case err := <-errCh:
-		fmt.Fprintf(os.Stderr, "bisramgate: serve: %v\n", err)
-		os.Exit(1)
-	case <-ctx.Done():
-	}
-	stop()
-	fmt.Fprintf(os.Stderr, "bisramgate: signal received; draining (budget %v)\n", *drainTimeout)
-
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	shutdownErr := httpSrv.Shutdown(drainCtx)
-	drainErr := q.Shutdown(drainCtx)
-	<-errCh
-
-	switch {
-	case drainErr != nil:
-		fmt.Fprintf(os.Stderr, "bisramgate: drain incomplete: %v\n", drainErr)
-		os.Exit(1)
-	case shutdownErr != nil && !errors.Is(shutdownErr, http.ErrServerClosed):
-		fmt.Fprintf(os.Stderr, "bisramgate: http shutdown: %v\n", shutdownErr)
-		os.Exit(1)
-	}
-	fmt.Fprintln(os.Stderr, "bisramgate: drained cleanly")
+func fatalf(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "bisramgate: "+format+"\n", args...)
+	os.Exit(1)
 }

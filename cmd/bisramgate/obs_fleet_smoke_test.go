@@ -137,7 +137,7 @@ func TestObsFleetSmoke(t *testing.T) {
 // spans parented under the gateway's proxy.route span.
 func assertMergedTrace(t *testing.T, gwBase, jobID string) {
 	t.Helper()
-	raw := getRaw(t, gwBase+"/debug/trace/"+jobID)
+	raw := getRaw(t, gwBase+"/v1/debug/traces/"+jobID)
 	var doc struct {
 		TraceEvents []struct {
 			Name string            `json:"name"`

@@ -19,17 +19,14 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"net/http"
+	"io"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
-	"syscall"
 	"time"
 
 	"repro/internal/cache"
@@ -68,18 +65,11 @@ func main() {
 	)
 	flag.Parse()
 
-	var inj *chaos.Injector
-	if *chaosSpec != "" {
-		var err error
-		if strings.HasPrefix(strings.TrimSpace(*chaosSpec), "{") {
-			inj, err = chaos.Parse([]byte(*chaosSpec))
-		} else {
-			inj, err = chaos.Load(*chaosSpec)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bisramgend: chaos spec: %v\n", err)
-			os.Exit(1)
-		}
+	inj, err := chaos.LoadSpec(*chaosSpec)
+	if err != nil {
+		fatalf("chaos spec: %v", err)
+	}
+	if inj != nil {
 		fmt.Fprintln(os.Stderr, "bisramgend: CHAOS INJECTION ENABLED — not for production use")
 	}
 
@@ -98,11 +88,9 @@ func main() {
 	c.SetChaos(inj)
 	var st *store.Store
 	if *storeDir != "" {
-		var err error
 		st, err = store.Open(store.Config{Dir: *storeDir, BudgetBytes: *storeMB << 20, Chaos: inj})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "bisramgend: opening store %s: %v\n", *storeDir, err)
-			os.Exit(1)
+			fatalf("opening store %s: %v", *storeDir, err)
 		}
 		fmt.Fprintf(os.Stderr, "bisramgend: disk store %s warm with %d objects\n",
 			*storeDir, st.Stats().ScannedAtStartup)
@@ -112,36 +100,22 @@ func main() {
 		if jd == "" {
 			jd = filepath.Join(*storeDir, "sweeps")
 		}
-		var err error
 		journal, err = sweep.OpenJournal(jd)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "bisramgend: opening sweep journal %s: %v\n", jd, err)
-			os.Exit(1)
+			fatalf("opening sweep journal %s: %v", jd, err)
 		}
 	}
 	// Federation: build the fleet view and let the store pull missing
 	// objects off ring peers before recompiling.
 	var clusterView server.ClusterInfo
 	if *peersList != "" {
-		members := strings.Split(*peersList, ",")
-		for i := range members {
-			members[i] = strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(members[i]), "/"))
-		}
 		self := strings.TrimSuffix(strings.TrimSpace(*selfURL), "/")
-		ring, err := cluster.NewRing(members, cluster.DefaultVNodes)
+		ring, err := cluster.ParseRing(*peersList)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "bisramgend: -peers: %v\n", err)
-			os.Exit(1)
+			fatalf("-peers: %v", err)
 		}
-		found := false
-		for _, m := range ring.Members() {
-			if m == self {
-				found = true
-			}
-		}
-		if !found {
-			fmt.Fprintf(os.Stderr, "bisramgend: -self %q is not one of -peers %v\n", self, ring.Members())
-			os.Exit(1)
+		if !slices.Contains(ring.Members(), self) {
+			fatalf("-self %q is not one of -peers %v", self, ring.Members())
 		}
 		tab := cluster.NewTable(ring)
 		pc := cluster.NewPeers(tab, self)
@@ -153,12 +127,16 @@ func main() {
 		clusterView = cluster.View{SelfURL: self, GatewayURL: *gatewayURL, Table: tab}
 		fmt.Fprintf(os.Stderr, "bisramgend: federated as %s in a %d-member ring\n", self, tab.PeersTotal())
 	}
-	var logW = os.Stderr
+	// -quiet leaves LogWriter a nil interface, so no log line is built.
+	var logW io.Writer
+	if !*quiet {
+		logW = os.Stderr
+	}
 	srv := server.New(server.Config{
 		Queue:         q,
 		Cache:         c,
 		Store:         st,
-		LogWriter:     logWriter(*quiet, logW),
+		LogWriter:     logW,
 		SyncWait:      *syncWait,
 		Metrics:       reg,
 		EnablePprof:   *enablePprof,
@@ -180,57 +158,13 @@ func main() {
 		}
 	}
 
-	httpSrv := &http.Server{
-		Addr:              *addr,
-		Handler:           srv.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
+	banner := fmt.Sprintf("listening on %s (%d workers, %d MiB cache, %v deadline)", *addr, *workers, *cacheMB, *deadline)
+	if code := server.Serve("bisramgend", *addr, srv.Handler(), q, *drainTimeout, banner); code != 0 {
+		os.Exit(code)
 	}
-
-	// Serve until a termination signal arrives.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	errCh := make(chan error, 1)
-	go func() {
-		fmt.Fprintf(os.Stderr, "bisramgend: listening on %s (%d workers, %d MiB cache, %v deadline)\n",
-			*addr, *workers, *cacheMB, *deadline)
-		errCh <- httpSrv.ListenAndServe()
-	}()
-
-	select {
-	case err := <-errCh:
-		// Listener failed before any signal (port in use, etc.).
-		fmt.Fprintf(os.Stderr, "bisramgend: serve: %v\n", err)
-		os.Exit(1)
-	case <-ctx.Done():
-	}
-	stop()
-	fmt.Fprintf(os.Stderr, "bisramgend: signal received; draining (budget %v)\n", *drainTimeout)
-
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-
-	// Stop accepting connections and finish in-flight HTTP exchanges,
-	// then drain the compile queue.
-	shutdownErr := httpSrv.Shutdown(drainCtx)
-	drainErr := q.Shutdown(drainCtx)
-	<-errCh // join the serve goroutine (returns ErrServerClosed)
-
-	switch {
-	case drainErr != nil:
-		fmt.Fprintf(os.Stderr, "bisramgend: drain incomplete: %v\n", drainErr)
-		os.Exit(1)
-	case shutdownErr != nil && !errors.Is(shutdownErr, http.ErrServerClosed):
-		fmt.Fprintf(os.Stderr, "bisramgend: http shutdown: %v\n", shutdownErr)
-		os.Exit(1)
-	}
-	fmt.Fprintln(os.Stderr, "bisramgend: drained cleanly")
 }
 
-// logWriter selects the request-log destination.
-func logWriter(quiet bool, w *os.File) *os.File {
-	if quiet {
-		return nil
-	}
-	return w
+func fatalf(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "bisramgend: "+format+"\n", args...)
+	os.Exit(1)
 }

@@ -71,7 +71,7 @@ const (
 	// ring-successor failover), a "delay" rule injects routing latency.
 	PointProxyRoute = "proxy.route"
 	// PointTraceFetch fires in the gateway before each remote span-set
-	// fetch for a merged /debug/trace view: an "error" rule degrades
+	// fetch for a merged /v1/debug/traces view: an "error" rule degrades
 	// the merge to gateway-local spans, a "delay" rule slows it.
 	PointTraceFetch = "trace.fetch"
 	// PointFleetScrape fires per peer in the gateway's fleet metrics
@@ -143,7 +143,7 @@ func (r *rule) matches(point string) bool {
 
 // Injector evaluates a scripted scenario. A nil *Injector is the
 // disabled state: every method returns the zero outcome immediately.
-// Construct with Parse or Load; safe for concurrent use.
+// Construct with Parse or LoadSpec; safe for concurrent use.
 type Injector struct {
 	mu    sync.Mutex
 	rules []*rule
@@ -187,11 +187,19 @@ func Parse(data []byte) (*Injector, error) {
 	return in, nil
 }
 
-// Load reads and parses a spec file.
-func Load(path string) (*Injector, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, cerr.Wrap(cerr.CodeInvalidParams, err, "chaos: reading spec %s", path)
+// LoadSpec reads a -chaos-spec flag value: inline JSON when it starts
+// with "{", otherwise a spec file path. The empty value is no
+// injector (nil, which injects nothing).
+func LoadSpec(spec string) (*Injector, error) {
+	if spec == "" {
+		return nil, nil
+	}
+	data := []byte(spec)
+	if !strings.HasPrefix(strings.TrimSpace(spec), "{") {
+		var err error
+		if data, err = os.ReadFile(spec); err != nil {
+			return nil, cerr.Wrap(cerr.CodeInvalidParams, err, "chaos: reading spec %s", spec)
+		}
 	}
 	return Parse(data)
 }

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -53,7 +54,7 @@ func startShard(t *testing.T) *testShard {
 }
 
 // startFleet brings up n shards plus a gateway over them.
-func startFleet(t *testing.T, n int) ([]*testShard, *Gateway, *Table, *httptest.Server) {
+func startFleet(t *testing.T, n int) ([]*testShard, *Fleet, *Table, *httptest.Server) {
 	t.Helper()
 	shards := make([]*testShard, n)
 	urls := make([]string, n)
@@ -66,19 +67,28 @@ func startFleet(t *testing.T, n int) ([]*testShard, *Gateway, *Table, *httptest.
 		t.Fatal(err)
 	}
 	tab := NewTable(r)
-	q := jobs.New(jobs.Config{Workers: 4, Deadline: time.Minute})
-	g, err := NewGateway(GatewayConfig{Table: tab, Queue: q})
+	f, ts := startGateway(t, tab, nil)
+	return shards, f, tab, ts
+}
+
+// startGateway serves the /v1 surface over a fleet backend on tab,
+// as bisramgate does.
+func startGateway(t *testing.T, tab *Table, inj *chaos.Injector) (*Fleet, *httptest.Server) {
+	t.Helper()
+	reg := obs.NewRegistry()
+	f, err := NewFleet(FleetConfig{Table: tab, Registry: reg, Chaos: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(g.Handler())
+	q := jobs.New(jobs.Config{Workers: 4, Deadline: time.Minute, Registry: reg})
+	ts := httptest.NewServer(server.New(server.Config{Queue: q, Backend: f, Cluster: View{Table: tab}, Metrics: reg, Chaos: inj}).Handler())
 	t.Cleanup(func() {
 		ts.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		q.Shutdown(ctx)
 	})
-	return shards, g, tab, ts
+	return f, ts
 }
 
 // httpDo is a bare exchange returning status, header and body.
@@ -325,14 +335,7 @@ func TestGatewayChaosRouteInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := jobs.New(jobs.Config{Workers: 2, Deadline: time.Minute})
-	defer q.Shutdown(context.Background())
-	g, err := NewGateway(GatewayConfig{Table: tab, Queue: q, Chaos: inj})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(g.Handler())
-	defer ts.Close()
+	g, ts := startGateway(t, tab, inj)
 
 	job := compileVia(t, ts.URL)
 	if job["key"] == "" {
@@ -383,29 +386,77 @@ func TestPeerFetchThroughRealShards(t *testing.T) {
 	}
 }
 
-// TestGatewayMethodTable: wrong methods get the enveloped 405 with
-// the full Allow list, matching the daemon's contract.
+// TestGatewayMethodTable: the daemon and the gateway serve one /v1
+// surface. For every /v1 pattern a wrong method gets the same
+// enveloped 405, byte for byte, with the same Allow list from both
+// roles, and the retired bare /debug aliases are mounted on neither.
 func TestGatewayMethodTable(t *testing.T) {
-	_, _, _, gw := startFleet(t, 1)
-	for _, tc := range []struct {
-		method, path, allow string
-	}{
+	newServer := func(cfg server.Config) string {
+		q := jobs.New(jobs.Config{Workers: 1, Deadline: time.Minute})
+		cfg.Queue, cfg.EnableStacks = q, true
+		ts := httptest.NewServer(server.New(cfg).Handler())
+		t.Cleanup(func() {
+			ts.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			q.Shutdown(ctx)
+		})
+		return ts.URL
+	}
+	daemon := newServer(server.Config{Cache: cache.New(1 << 20)})
+	r, err := NewRing([]string{daemon}, DefaultVNodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab := NewTable(r)
+	fleet, err := NewFleet(FleetConfig{Table: tab})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gateway := newServer(server.Config{Backend: fleet, Cluster: View{Table: tab}})
+
+	key := strings.Repeat("0", 64)
+	for _, tc := range []struct{ method, path, allow string }{
 		{http.MethodPut, "/v1/compile", "POST"},
-		{http.MethodDelete, "/v1/objects/" + strings.Repeat("0", 64), "GET, HEAD"},
-		{http.MethodPost, "/v1/objects/" + strings.Repeat("0", 64) + "/report", "GET"},
+		{http.MethodDelete, "/v1/jobs/job-000001", "GET"},
+		{http.MethodPost, "/v1/jobs/job-000001/result", "GET"},
 		{http.MethodDelete, "/v1/jobs/job-000001/artifact/datasheet.txt", "GET, HEAD"},
+		{http.MethodDelete, "/v1/objects/" + key, "GET, HEAD"},
+		{http.MethodPost, "/v1/objects/" + key + "/report", "GET"},
 		{http.MethodDelete, "/v1/sweeps", "POST"},
+		{http.MethodPost, "/v1/sweeps/sweep-000001", "GET"},
+		{http.MethodPut, "/v1/sweeps/sweep-000001/results", "GET"},
+		{http.MethodPost, "/v1/sweeps/sweep-000001/events", "GET"},
+		{http.MethodPost, "/v1/processes", "GET"},
+		{http.MethodDelete, "/v1/tests", "GET"},
+		{http.MethodPost, "/v1/debug/traces/job-000001", "GET"},
+		{http.MethodPost, "/v1/debug/stacks", "GET"},
 	} {
-		st, hdr, raw := httpDo(t, tc.method, gw.URL+tc.path, "")
-		if st != http.StatusMethodNotAllowed {
-			t.Fatalf("%s %s: %d", tc.method, tc.path, st)
+		var bodies [][]byte
+		for _, base := range []string{daemon, gateway} {
+			st, hdr, raw := httpDo(t, tc.method, base+tc.path, "")
+			if st != http.StatusMethodNotAllowed || hdr.Get("Allow") != tc.allow {
+				t.Fatalf("%s %s%s: %d Allow=%q, want 405 Allow=%q", tc.method, base, tc.path, st, hdr.Get("Allow"), tc.allow)
+			}
+			var env struct {
+				Error *struct {
+					Code string `json:"code"`
+				} `json:"error"`
+			}
+			if json.Unmarshal(raw, &env) != nil || env.Error == nil || env.Error.Code != "ERR_BAD_REQUEST" {
+				t.Fatalf("%s %s%s: 405 not enveloped: %s", tc.method, base, tc.path, raw)
+			}
+			bodies = append(bodies, raw)
 		}
-		if got := hdr.Get("Allow"); got != tc.allow {
-			t.Fatalf("%s %s Allow %q, want %q", tc.method, tc.path, got, tc.allow)
+		if !bytes.Equal(bodies[0], bodies[1]) {
+			t.Fatalf("%s %s: daemon and gateway 405s differ:\n%s\n%s", tc.method, tc.path, bodies[0], bodies[1])
 		}
-		var env map[string]any
-		if err := json.Unmarshal(raw, &env); err != nil || env["error"] == nil {
-			t.Fatalf("405 not enveloped: %s", raw)
+	}
+	for _, base := range []string{daemon, gateway} {
+		for _, path := range []string{"/debug/trace/job-000001", "/debug/stacks"} {
+			if st, _, _ := httpDo(t, http.MethodGet, base+path, ""); st != http.StatusNotFound {
+				t.Fatalf("GET %s%s: %d, want the retired alias unmounted (404)", base, path, st)
+			}
 		}
 	}
 }
@@ -439,14 +490,7 @@ func TestGatewayRelayPreservesDiagnosticHeaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := jobs.New(jobs.Config{Workers: 1, Deadline: time.Minute})
-	defer q.Shutdown(context.Background())
-	g, err := NewGateway(GatewayConfig{Table: NewTable(r), Queue: q})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(g.Handler())
-	defer ts.Close()
+	_, ts := startGateway(t, NewTable(r), nil)
 
 	st, hdr, raw := httpDo(t, http.MethodPost, ts.URL+"/v1/compile", gwReq)
 	if st != http.StatusTooManyRequests {
@@ -471,6 +515,69 @@ func TestGatewayRelayPreservesDiagnosticHeaders(t *testing.T) {
 	}
 	if got := hdr.Get("X-Failure-Stage"); got != "floorplan" {
 		t.Fatalf("X-Failure-Stage %q, want floorplan", got)
+	}
+}
+
+// TestGatewayJobReadsStayOnIssuingShard: job ids are per-shard
+// counters, so two shards can both have a job-000001. Once a compile
+// routed through the gateway names its job, reads of that id go to
+// the issuing shard only: its 404 (the shard forgot the job) is
+// relayed, not replaced by the other shard's live job, and when the
+// issuer is unreachable the read fails instead of falling over.
+func TestGatewayJobReadsStayOnIssuingShard(t *testing.T) {
+	const jobPath = "/v1/jobs/job-000001"
+	const forgotten = `{"data":null,"error":{"code":"ERR_INVALID_PARAMS","message":"server: unknown job \"job-000001\""}}`
+	var issuer atomic.Value // URL of the shard that took the compile
+	shards := make([]*httptest.Server, 2)
+	for i := range shards {
+		var self string
+		shards[i] = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			switch {
+			case r.URL.Path == "/v1/compile":
+				issuer.Store(self)
+				fmt.Fprint(w, `{"job":{"key":"k","job_id":"job-000001","state":"done","cached":false,"elapsed_ms":1},"error":null}`)
+			case strings.HasPrefix(r.URL.Path, jobPath) && issuer.Load() == self:
+				w.WriteHeader(http.StatusNotFound)
+				fmt.Fprint(w, forgotten)
+			case strings.HasPrefix(r.URL.Path, jobPath):
+				fmt.Fprint(w, `{"job":{"job_id":"job-000001","key":"other","state":"done"},"error":null}`)
+			default:
+				w.WriteHeader(http.StatusNotFound)
+			}
+		}))
+		self = shards[i].URL
+		t.Cleanup(shards[i].Close)
+	}
+	r, err := NewRing([]string{shards[0].URL, shards[1].URL}, DefaultVNodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, gw := startGateway(t, NewTable(r), nil)
+
+	if st, _, raw := httpDo(t, http.MethodPost, gw.URL+"/v1/compile", gwReq); st != http.StatusOK {
+		t.Fatalf("compile %d: %s", st, raw)
+	}
+	st, _, raw := httpDo(t, http.MethodGet, gw.URL+jobPath, "")
+	if st != http.StatusNotFound || string(raw) != forgotten {
+		t.Fatalf("read of a forgotten job: %d %s, want the issuer's enveloped 404", st, raw)
+	}
+	// The route survives the 404: a second read still asks the issuer.
+	if st, _, raw := httpDo(t, http.MethodGet, gw.URL+jobPath+"/result", ""); st != http.StatusNotFound || string(raw) != forgotten {
+		t.Fatalf("second read: %d %s, want the issuer's enveloped 404", st, raw)
+	}
+
+	for _, sh := range shards {
+		if sh.URL == issuer.Load() {
+			sh.Close()
+		}
+	}
+	st, _, raw = httpDo(t, http.MethodGet, gw.URL+jobPath, "")
+	var env struct {
+		Error *sweep.WireError `json:"error"`
+	}
+	if err := json.Unmarshal(raw, &env); err != nil || st != http.StatusInternalServerError || env.Error == nil || env.Error.Code != "ERR_INTERNAL" {
+		t.Fatalf("read with the issuer down: %d %s, want an enveloped 500", st, raw)
 	}
 }
 
@@ -499,10 +606,9 @@ func TestGatewayHealthz(t *testing.T) {
 }
 
 // TestGatewayV1DebugTraceAndPagedResults: the gateway mirrors the
-// shard's redesigned /v1 surface — /v1/debug/traces/{id} serves the
-// merged trace in every negotiated representation with enveloped 405
-// parity, the deprecated /debug/trace/{id} alias keeps working, and
-// /v1/sweeps/{id}/results windows rows with page metadata in the
+// shard's /v1 surface — /v1/debug/traces/{id} serves the merged
+// trace in every negotiated representation with enveloped 405 parity,
+// and /v1/sweeps/{id}/results windows rows with page metadata in the
 // envelope while the parameterless fetch stays the full document.
 func TestGatewayV1DebugTraceAndPagedResults(t *testing.T) {
 	_, _, _, gw := startFleet(t, 2)
@@ -520,10 +626,6 @@ func TestGatewayV1DebugTraceAndPagedResults(t *testing.T) {
 	// Both processes of the distributed trace are present.
 	if !bytes.Contains(chrome, []byte("gateway")) || !bytes.Contains(chrome, []byte("proxy.route")) {
 		t.Fatalf("merged trace missing gateway spans: %.500s", chrome)
-	}
-	st, _, legacy := httpDo(t, http.MethodGet, gw.URL+"/debug/trace/"+jobID, "")
-	if st != http.StatusOK || !bytes.Equal(chrome, legacy) {
-		t.Fatalf("deprecated alias diverged (status %d)", st)
 	}
 	// Tree and spans representations.
 	st, _, tree := httpDo(t, http.MethodGet, gw.URL+"/v1/debug/traces/"+jobID+"?format=tree", "")

@@ -25,6 +25,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/cerr"
 )
@@ -146,4 +147,15 @@ func (r *Ring) Successors(key string, n int) []string {
 		}
 	}
 	return out
+}
+
+// ParseRing builds the ring for a comma-separated member list, the
+// form of the -peers and -shards flags; members are trimmed of spaces
+// and a trailing slash.
+func ParseRing(list string) (*Ring, error) {
+	members := strings.Split(list, ",")
+	for i, m := range members {
+		members[i] = strings.TrimSuffix(strings.TrimSpace(m), "/")
+	}
+	return NewRing(members, DefaultVNodes)
 }

@@ -1,9 +1,10 @@
 package cluster
 
 // View adapts a member table to the server's ClusterInfo window: the
-// read-only slice of federation state a shard reports in /healthz and
-// /metrics. It carries the shard's own identity (SelfURL) and the
-// advertised gateway, neither of which the table knows.
+// read-only slice of federation state a shard or gateway reports in
+// /healthz and /metrics. It carries a shard's own identity (SelfURL)
+// and the advertised gateway, neither of which the table knows; both
+// are empty on a gateway.
 type View struct {
 	SelfURL    string
 	GatewayURL string

@@ -283,22 +283,19 @@ func New(cfg Config) *Queue {
 	return q
 }
 
-// Submit enqueues fn under key. If a job with the same key is already
-// queued or running, the submission attaches to it (deduped=true) and
-// fn is discarded. A draining queue or a full queue rejects with
-// ERR_OVERLOADED — a transient, retryable shed, distinct from the
-// ERR_BUDGET_EXCEEDED a job earns by exhausting its own deadline.
-// Submit is SubmitTraced without a trace.
-func (q *Queue) Submit(key string, pri Priority, fn Func) (job *Job, deduped bool, err error) {
-	return q.SubmitTraced(key, pri, nil, fn)
-}
-
-// SubmitTraced is Submit with a request-scoped trace attached to the
-// job: the queue records a "queue.wait" span covering submission →
-// worker pickup (or drain cancellation), and fn runs under a context
-// carrying the trace so the pipeline's stage spans land in it. A
-// deduped submission attaches to the existing job and its trace; tr
-// is discarded in that case (the job keeps the first submitter's).
+// SubmitTraced enqueues fn under key. If a job with the same key is
+// already queued or running, the submission attaches to it
+// (deduped=true) and fn is discarded. A draining queue or a full queue
+// rejects with ERR_OVERLOADED — a transient, retryable shed, distinct
+// from the ERR_BUDGET_EXCEEDED a job earns by exhausting its own
+// deadline.
+//
+// tr, when non-nil, is the job's request-scoped trace: the queue
+// records a "queue.wait" span covering submission → worker pickup (or
+// drain cancellation), and fn runs under a context carrying the trace
+// so the pipeline's stage spans land in it. A deduped submission
+// attaches to the existing job and its trace; tr is discarded in that
+// case (the job keeps the first submitter's).
 func (q *Queue) SubmitTraced(key string, pri Priority, tr *obs.Trace, fn Func) (job *Job, deduped bool, err error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()

@@ -136,7 +136,29 @@ func sigmaLevel(p float64, n int) float64 {
 	if p <= 0 {
 		p = 1 / (2 * float64(n+1))
 	}
+	if p < tinyP {
+		// 1-2p rounds to 1 (and Erfinv(1) is +Inf) below ~2.8e-17, so
+		// the deep tail takes the asymptotic inverse instead. The floor
+		// at the last exact value keeps the level non-increasing in p
+		// across the switch.
+		return math.Max(tailQuantile(p), math.Sqrt2*math.Erfinv(1-2*tinyP))
+	}
 	return math.Sqrt2 * math.Erfinv(1-2*p)
+}
+
+// tinyP is where sigmaLevel leaves the exact Erfinv form.
+const tinyP = 1e-16
+
+// tailQuantile inverts the normal upper tail Q(z) = p for tiny p from
+// the asymptotic expansion ln p = -z²/2 - ln(z√(2π)) + ln(1 - 1/z²),
+// solved by two fixed-point steps from z² = -2 ln p. Each step is
+// increasing in -ln p, so the result decreases monotonically in p;
+// at p = 1e-16 it is within 3e-5 of the exact quantile, and closer
+// deeper in the tail.
+func tailQuantile(p float64) float64 {
+	t2 := -2 * math.Log(p)
+	z2 := t2 - math.Log(2*math.Pi*t2)
+	return math.Sqrt(t2 - math.Log(2*math.Pi*z2) + 2*math.Log1p(-1/z2))
 }
 
 // Estimate runs the Monte-Carlo yield estimate. Worker goroutines

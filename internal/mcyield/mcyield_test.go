@@ -235,6 +235,40 @@ func TestSigmaLevelBounds(t *testing.T) {
 	}
 }
 
+// TestSigmaLevelTinyP: below ~5e-17, 1-2p rounds to 1 and Erfinv
+// would answer +Inf. The deep tail must stay finite, accurate and
+// non-increasing in p, while every p >= 1e-16 keeps its exact value.
+func TestSigmaLevelTinyP(t *testing.T) {
+	for _, c := range []struct{ p, want float64 }{{1e-17, 8.49379}, {1e-20, 9.26234}} {
+		got := sigmaLevel(c.p, 100)
+		if math.IsInf(got, 0) || math.IsNaN(got) || math.Abs(got-c.want) > 1e-4 {
+			t.Fatalf("sigma(%g) = %g, want %g", c.p, got, c.want)
+		}
+	}
+	for _, p := range []float64{1e-16, 3e-16, 1e-12, 1e-6, 0.01, 0.3} {
+		if got, want := sigmaLevel(p, 100), math.Sqrt2*math.Erfinv(1-2*p); got != want {
+			t.Fatalf("sigma(%g) = %v, exact form %v", p, got, want)
+		}
+	}
+	// Adjacent floats are probed only in the tail this form owns: above
+	// it, Erfinv's last-ulp rounding may wiggle, and those values must
+	// stay as they are.
+	prev := math.Inf(1)
+	for p := math.SmallestNonzeroFloat64; p < 0.999; p = math.Max(p*1.01, math.Nextafter(p, 1)) {
+		qs := []float64{p}
+		if p < 1e-15 {
+			qs = append(qs, math.Nextafter(p, 1))
+		}
+		for _, q := range qs {
+			sl := sigmaLevel(q, 100)
+			if math.IsInf(sl, 0) || math.IsNaN(sl) || sl > prev {
+				t.Fatalf("sigma(%g) = %g after %g: not finite and non-increasing", q, sl, prev)
+			}
+			prev = sl
+		}
+	}
+}
+
 // TestRNGStreamsIndependent spot-checks that per-index streams do not
 // correlate trivially and that norms have sane moments.
 func TestRNGStreamsIndependent(t *testing.T) {

@@ -12,7 +12,7 @@ import (
 
 // Fleet metrics aggregation: parse each node's Prometheus text
 // exposition (the authoritative format — it carries TYPE metadata the
-// expvar JSON lacks), merge the per-node families, and re-emit one
+// JSON snapshot lacks), merge the per-node families, and re-emit one
 // fleet-wide document in both expositions. Merge rules:
 //
 //   - counters: summed across nodes per label set — the fleet total.
@@ -490,7 +490,7 @@ func writeFleetHistogram(b *strings.Builder, name string, labels map[string]stri
 }
 
 // Snapshot renders the merged fleet document as a JSON-able map — the
-// expvar half of the dual exposition, mirroring Registry.Snapshot:
+// JSON half of the dual exposition, mirroring Registry.Snapshot:
 // counters become fleet-summed numbers, gauges nest per node, and
 // histograms take the {count, sum, buckets} shape.
 func (m *FleetMerged) Snapshot() map[string]any {

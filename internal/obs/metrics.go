@@ -520,7 +520,7 @@ func writeHistogram(b *strings.Builder, name, labelKey, labelVal string, s Histo
 	fmt.Fprintf(b, "%s_count%s %d\n", name, suffix, s.Count)
 }
 
-// Snapshot renders every instrument as a JSON-able map — the expvar
+// Snapshot renders every instrument as a JSON-able map — the JSON
 // half of the dual exposition. Histograms become
 // {count, sum, buckets:{"le" -> cumulative}}; vecs nest by label.
 func (r *Registry) Snapshot() map[string]any {

@@ -69,7 +69,7 @@ type WireSpan struct {
 }
 
 // SpanSet is one node's exported slice of a distributed trace — the
-// GET /debug/trace/{id}?format=spans document. RemoteParent, when
+// GET /v1/debug/traces/{id}?format=spans document. RemoteParent, when
 // non-zero, names the span (in the requesting process's ID space)
 // this set's root spans belong under.
 type SpanSet struct {

@@ -239,7 +239,7 @@ func TestArtifactStreamingHeaders(t *testing.T) {
 // bindings: create, wait, results, and a repeat sweep that must be
 // fully served from the cache (zero recompiles).
 func TestSweepLifecycleOverHTTP(t *testing.T) {
-	ts, _, q, _ := testServer(t, jobs.Config{}, 64<<20)
+	ts, s, q, _ := testServer(t, jobs.Config{}, 64<<20)
 	cl := sweep.NewClient(ts.URL)
 
 	spec := sweep.Spec{
@@ -273,6 +273,27 @@ func TestSweepLifecycleOverHTTP(t *testing.T) {
 		if row.Defects == 5 && row.Spares == 4 && row.YieldBISR <= row.YieldNoRepair {
 			t.Fatalf("BISR yield must dominate: %+v", row)
 		}
+	}
+
+	// Every compile so far was a sweep point. Sweep jobs carry traces,
+	// so their queue wait and stages reach the per-stage histogram like
+	// an interactive compile's.
+	_, m := getJSON(t, ts.URL+"/metrics")
+	stages, _ := m["obs"].(map[string]any)["compile_stage_duration_seconds"].(map[string]any)
+	for _, stage := range []string{"queue.wait", "compile.floorplan"} {
+		h, _ := stages[stage].(map[string]any)
+		if n, _ := h["count"].(float64); n < 2 {
+			t.Fatalf("sweep compiles left stage %q at count %v: %v", stage, h["count"], stages)
+		}
+	}
+	// Their traces are not retained, so a sweep cannot push interactive
+	// compiles' traces out of the trace store.
+	l := s.backend.(*local)
+	l.jobs.mu.Lock()
+	kept := len(l.jobs.traces.m)
+	l.jobs.mu.Unlock()
+	if kept != 0 {
+		t.Fatalf("trace store holds %d sweep traces, want 0", kept)
 	}
 
 	// Repeat sweep: every point must be a cache hit, with no new

@@ -33,7 +33,7 @@ func TestDebugTraceEndpoint(t *testing.T) {
 		t.Fatalf("no job_id in response: %v", m)
 	}
 
-	resp, err := http.Get(ts.URL + "/debug/trace/" + jobID)
+	resp, err := http.Get(ts.URL + "/v1/debug/traces/" + jobID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestDebugTraceEndpoint(t *testing.T) {
 	}
 
 	// Tree format.
-	resp2, err := http.Get(ts.URL + "/debug/trace/" + jobID + "?format=tree")
+	resp2, err := http.Get(ts.URL + "/v1/debug/traces/" + jobID + "?format=tree")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestDebugTraceEndpoint(t *testing.T) {
 	}
 
 	// Unknown id.
-	resp3, err := http.Get(ts.URL + "/debug/trace/job-999999")
+	resp3, err := http.Get(ts.URL + "/v1/debug/traces/job-999999")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestMetricsClusterAndPeerFetchExposition(t *testing.T) {
 }
 
 // TestMetricsJSONCarriesObs: the default JSON document folds in the
-// obs registry snapshot next to the legacy expvar map.
+// obs registry snapshot, the one metrics source.
 func TestMetricsJSONCarriesObs(t *testing.T) {
 	ts, _, _, _ := testServer(t, jobs.Config{}, 1<<20)
 	postCompile(t, ts, smallReq, "")
@@ -281,6 +281,7 @@ func TestTraceBudgetEviction(t *testing.T) {
 	q := jobs.New(jobs.Config{Workers: 1, Deadline: time.Minute})
 	defer q.Shutdown(nil2())
 	s := New(Config{Queue: q, Cache: cache.New(0), TraceBudget: 2})
+	l := s.backend.(*local)
 	ids := []string{}
 	for i := 0; i < 3; i++ {
 		j, _, err := q.SubmitTraced("k"+strconv.Itoa(i), jobs.Interactive, obs.NewTrace(""),
@@ -289,13 +290,13 @@ func TestTraceBudgetEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 		ids = append(ids, j.ID)
-		s.trackJob(j, j.Key)
+		l.track(j, j.Key, j.Trace())
 	}
-	s.jobMu.Lock()
-	n := len(s.traceByID)
-	_, oldest := s.traceByID[ids[0]]
-	_, newest := s.traceByID[ids[2]]
-	s.jobMu.Unlock()
+	l.jobs.mu.Lock()
+	n := len(l.jobs.traces.m)
+	l.jobs.mu.Unlock()
+	_, oldest := l.jobs.Trace(ids[0])
+	_, newest := l.jobs.Trace(ids[2])
 	if n != 2 {
 		t.Fatalf("trace store holds %d, want 2", n)
 	}

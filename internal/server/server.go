@@ -1,13 +1,19 @@
-// Package server implements the bisramgend HTTP/JSON API: compile
-// submission with content-addressed caching, batch sweeps, job
-// status/result/artifact retrieval, health and metrics. It glues the
-// service substrates together — internal/canon (canonical keying and
-// the shared Params loader), internal/jobs (bounded worker pool with
-// priorities, dedup and drain), internal/cache (byte-budgeted LRU
-// over rendered artifacts), internal/store (the disk tier under the
-// LRU, so restarts stay warm) and internal/sweep (cross-product batch
-// evaluation) — in front of the existing compile pipeline, whose
-// typed cerr taxonomy maps 1:1 onto HTTP statuses.
+// Package server is the one BISRAMGEN HTTP/JSON layer, served by both
+// the bisramgend daemon and the bisramgate gateway. A Server front
+// parses, keys, routes, envelopes, traces and meters every request;
+// a Backend answers what differs between the two roles:
+//
+//   - local (this package, the daemon): compiles run on this
+//     process's queue (internal/jobs) and fill its byte-budgeted LRU
+//     (internal/cache) and disk store (internal/store), so restarts
+//     stay warm;
+//   - fleet (internal/cluster, the gateway): compiles and key-addressed
+//     reads route to the content key's ring owner, with failover.
+//
+// Sweeps (internal/sweep) run on the front's manager over the
+// backend's Lookup/Run hooks, so a gateway serves the same sweep
+// documents as a daemon. The compile pipeline's typed cerr taxonomy
+// maps 1:1 onto HTTP statuses.
 //
 // Envelope: every /v1/* JSON response is one uniform document with
 // exactly one payload member and an explicit error slot,
@@ -15,9 +21,9 @@
 //	{ "job" | "sweep" | "data": ..., "error": {code, stage, message} | null }
 //
 // (artifact bodies stream raw with their own Content-Type; /healthz,
-// /metrics and /debug/* keep their documented shapes). A request with
-// a method the route does not accept is answered 405 with an Allow
-// header and the same envelope.
+// /metrics and /v1/debug/* keep their documented shapes). A request
+// with a method the route does not accept is answered 405 with an
+// Allow header and the same envelope.
 //
 // Endpoints:
 //
@@ -25,26 +31,27 @@
 //	GET  /v1/jobs/{id}                  job status
 //	GET  /v1/jobs/{id}/result           compile report (canonical JSON, under "data")
 //	GET  /v1/jobs/{id}/artifact/{name}  rendered artifact (datasheet, planes, SVG, GDS)
+//	GET  /v1/objects/{key}              raw store object image (HEAD too)
+//	GET  /v1/objects/{key}/report       cached report for a content key (never compiles)
 //	POST /v1/sweeps                     submit a batch sweep (base request + axes)
 //	GET  /v1/sweeps/{id}                sweep progress (aggregate + per-point)
 //	GET  /v1/sweeps/{id}/results        sweep evaluation rows (Fig. 4/5, Tables II/III)
 //	GET  /v1/sweeps/{id}/events         live sweep progress (Server-Sent Events)
 //	GET  /v1/processes                  built-in process decks
 //	GET  /v1/tests                      built-in march algorithms
-//	GET  /healthz                       liveness
-//	GET  /metrics                       counters (expvar JSON; ?format=prometheus for text exposition)
-//	GET  /debug/trace/{id}              per-job Chrome trace-event JSON (?format=tree for text,
-//	                                    ?format=spans for the wire span set the gateway merges)
+//	GET  /v1/debug/traces/{id}          per-job trace (Chrome JSON; ?format=tree|spans)
+//	GET  /v1/debug/stacks               goroutine dump (only with Config.EnableStacks)
+//	GET  /healthz                       liveness plus role-specific fields
+//	GET  /metrics                       obs registry JSON snapshot (?format=prometheus for text
+//	                                    exposition; ?scope=fleet merges a gateway's shards)
 //	GET  /debug/pprof/*                 runtime profiles (only with Config.EnablePprof)
 package server
 
 import (
 	"context"
 	"encoding/json"
-	"expvar"
-	"fmt"
+	"errors"
 	"io"
-	"log"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
@@ -60,10 +67,8 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/cjson"
 	"repro/internal/compiler"
-	"repro/internal/gds"
 	"repro/internal/jobs"
 	"repro/internal/obs"
-	"repro/internal/render"
 	"repro/internal/store"
 	"repro/internal/sweep"
 	"repro/internal/tech"
@@ -73,13 +78,15 @@ import (
 // plane files included).
 const MaxRequestBody = 8 << 20
 
-// DefaultTraceBudget bounds how many completed job traces the server
-// retains for GET /debug/trace/{id} (FIFO eviction).
-const DefaultTraceBudget = 512
-
 // Config wires a server.
 type Config struct {
+	// Queue runs the jobs: compiles on a daemon, routed sweep points on
+	// a gateway. Required.
 	Queue *jobs.Queue
+	// Backend answers compile, job and object requests; nil builds the
+	// local backend over Queue, Cache and Store.
+	Backend Backend
+	// Cache is the local backend's in-memory artifact tier.
 	Cache *cache.Cache
 	// Store is the optional disk tier under the in-memory cache.
 	// Memory misses probe the store (promoting hits), compiles persist
@@ -130,14 +137,14 @@ type Config struct {
 	// and exposes chaos_injections_total. Store/cache/queue injection
 	// is wired by the caller via their own configs.
 	Chaos *chaos.Injector
-	// EnableStacks mounts GET /debug/stacks: a full goroutine dump
+	// EnableStacks mounts GET /v1/debug/stacks: a full goroutine dump
 	// (SIGQUIT-style, without killing the process) for diagnosing
 	// stuck drains.
 	EnableStacks bool
-	// Cluster, when non-nil, identifies this daemon's place in a
-	// federation: /healthz reports the shard identity and fleet view,
-	// and the cluster gauges join the /metrics expositions. The
-	// interface keeps this package independent of internal/cluster —
+	// Cluster, when non-nil, is this process's view of its federation:
+	// /healthz reports the ring version and peer counts (and a shard's
+	// identity), and the cluster gauges join the /metrics expositions.
+	// The interface keeps this package independent of internal/cluster —
 	// the command wires the concrete view in.
 	Cluster ClusterInfo
 	// SSEHeartbeat is the keep-alive cadence of the sweep event stream
@@ -149,7 +156,7 @@ type Config struct {
 // ClusterInfo is the server's read-only window onto the federation
 // layer.
 type ClusterInfo interface {
-	// Self is this shard's own base URL in the ring.
+	// Self is this shard's own base URL in the ring ("" on a gateway).
 	Self() string
 	// Gateway is the advertised gateway URL ("" when none).
 	Gateway() string
@@ -160,39 +167,58 @@ type ClusterInfo interface {
 	PeersTotal() int
 }
 
+// Backend is what differs between the daemon and the gateway behind
+// the one /v1 surface. Handler methods return an error instead of
+// writing one; the front renders it in the envelope.
+type Backend interface {
+	// Compile serves POST /v1/compile for a parsed, keyed request.
+	Compile(w http.ResponseWriter, r *http.Request, sub Submission) error
+	// Job serves GET /v1/jobs/{id}, .../result and .../artifact/{name}
+	// (view "status", "result" or "artifact"); the id and artifact
+	// name are r's path values.
+	Job(w http.ResponseWriter, r *http.Request, view string) error
+	// Object serves GET|HEAD /v1/objects/{key}, or with report GET
+	// /v1/objects/{key}/report.
+	Object(w http.ResponseWriter, r *http.Request, report bool) error
+	// Sweep returns the sweep manager's Lookup and Run hooks, plus
+	// OnJob where the submitted jobs are this process's own.
+	Sweep() sweep.Config
+	// Trace returns job id's retained trace. merged is non-nil when
+	// remote span sets were merged into it (a fleet); otherwise tr is
+	// rendered alone.
+	Trace(ctx context.Context, id string) (tr *obs.Trace, merged *obs.Merged, ok bool)
+	// Health adds the role's /healthz fields to body and returns the
+	// response status.
+	Health(body map[string]any) int
+	// ScrapeFleet scrapes every fleet member for GET
+	// /metrics?scope=fleet; ok is false for a role with no fleet.
+	ScrapeFleet(ctx context.Context) (scrapes []obs.FleetScrape, errs int, ok bool)
+}
+
+// Submission is one parsed, keyed POST /v1/compile.
+type Submission struct {
+	Body   []byte
+	Key    string
+	Params compiler.Params
+	Start  time.Time
+}
+
 // Server is the HTTP layer. Construct with New; serve s.Handler().
 type Server struct {
-	cfg    Config
-	mux    *http.ServeMux
-	start  time.Time
-	logMu  sync.Mutex
-	sweeps *sweep.Manager
+	cfg     Config
+	backend Backend
+	mux     *http.ServeMux
+	start   time.Time
+	logMu   sync.Mutex
+	sweeps  *sweep.Manager
 
-	jobMu      sync.Mutex
-	jobsByID   map[string]*jobs.Job
-	keyByID    map[string]string
-	traceByID  map[string]*obs.Trace
-	traceOrder []string // FIFO eviction order for traceByID
-
-	// expvar-backed counters (unpublished maps so multiple servers can
-	// coexist in one process, e.g. under test).
-	metrics  *expvar.Map
-	byStatus *expvar.Map
-	byCode   *expvar.Map
-
-	// obs registry instruments (dual exposition on /metrics).
-	obsReg       *obs.Registry
 	httpRequests *obs.Counter
 	httpDur      *obs.Histogram
-	cacheHits    *obs.Counter
-	storeHits    *obs.Counter
-	cacheMisses  *obs.Counter
-	dedupes      *obs.Counter
-	compileDur   *obs.Histogram
-	stageDur     *obs.HistogramVec
-	slowCompiles *obs.Counter
-	parStages    *obs.Counter
-	parDegree    *obs.Histogram
+	responses    *obs.CounterVec
+	errorsByCode *obs.CounterVec
+	// compileDur is the local backend's compile latency (nil on a
+	// fleet); its p50 scales the Retry-After hint of shed load.
+	compileDur *obs.Histogram
 }
 
 // New builds the server and its routing table.
@@ -203,66 +229,48 @@ func New(cfg Config) *Server {
 	if cfg.SlowLogWriter == nil {
 		cfg.SlowLogWriter = cfg.LogWriter
 	}
-	if cfg.TraceBudget <= 0 {
-		cfg.TraceBudget = DefaultTraceBudget
-	}
-	s := &Server{
-		cfg:       cfg,
-		mux:       http.NewServeMux(),
-		start:     time.Now(),
-		jobsByID:  map[string]*jobs.Job{},
-		keyByID:   map[string]string{},
-		traceByID: map[string]*obs.Trace{},
-		metrics:   new(expvar.Map).Init(),
-		byStatus:  new(expvar.Map).Init(),
-		byCode:    new(expvar.Map).Init(),
-		obsReg:    cfg.Metrics,
-	}
-	s.metrics.Set("responses_by_status", s.byStatus)
-	s.metrics.Set("errors_by_code", s.byCode)
+	s := &Server{cfg: cfg, backend: cfg.Backend, mux: http.NewServeMux(), start: time.Now()}
 	s.registerMetrics()
+	if s.backend == nil {
+		s.backend = newLocal(s)
+	}
 
-	// The sweep manager shares the server's queue, two-tier lookup and
-	// compile pipeline, so sweep points dedup against interactive
-	// traffic and fill the same caches.
-	s.sweeps = sweep.NewManager(sweep.Config{
-		Queue: cfg.Queue,
-		Lookup: func(key string) (*cache.Entry, bool) {
-			e, _, ok := s.lookupEntry(key)
-			return e, ok
-		},
-		Run: func(ctx context.Context, key string, _ canon.Request, p compiler.Params) (*cache.Entry, error) {
-			runStart := time.Now()
-			entry, err := s.runCompile(ctx, key, p)
-			s.observeCompile(obs.FromContext(ctx), time.Since(runStart), key, err)
-			return entry, err
-		},
-		OnJob:     s.trackJob,
-		Registry:  cfg.Metrics,
-		MaxPoints: cfg.SweepMaxPoints,
-		Retain:    cfg.SweepRetain,
-		Journal:   cfg.SweepJournal,
-		Chaos:     cfg.Chaos,
-	})
+	// The sweep manager shares the backend's queue, lookup and compile
+	// path, so sweep points dedup against interactive traffic and fill
+	// the same caches.
+	sc := s.backend.Sweep()
+	sc.Queue = cfg.Queue
+	sc.Registry = cfg.Metrics
+	sc.MaxPoints = cfg.SweepMaxPoints
+	sc.Retain = cfg.SweepRetain
+	sc.Journal = cfg.SweepJournal
+	sc.Chaos = cfg.Chaos
+	s.sweeps = sweep.NewManager(sc)
 
+	b := s.backend
 	s.route("POST", "/v1/compile", s.handleCompile)
-	s.route("GET", "/v1/jobs/{id}", s.handleJobStatus)
-	s.route("GET", "/v1/jobs/{id}/result", s.handleJobResult)
-	s.route("GET, HEAD", "/v1/jobs/{id}/artifact/{name}", s.handleJobArtifact)
-	s.route("GET, HEAD", "/v1/objects/{key}", s.handleObject)
-	s.route("GET", "/v1/objects/{key}/report", s.handleObjectReport)
+	s.route("GET", "/v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) error { return b.Job(w, r, "status") })
+	s.route("GET", "/v1/jobs/{id}/result", func(w http.ResponseWriter, r *http.Request) error { return b.Job(w, r, "result") })
+	// GET patterns also serve HEAD (Go 1.22 mux), hence the wider
+	// Allow lists.
+	s.route("GET, HEAD", "/v1/jobs/{id}/artifact/{name}", func(w http.ResponseWriter, r *http.Request) error { return b.Job(w, r, "artifact") })
+	s.route("GET, HEAD", "/v1/objects/{key}", func(w http.ResponseWriter, r *http.Request) error { return b.Object(w, r, false) })
+	s.route("GET", "/v1/objects/{key}/report", func(w http.ResponseWriter, r *http.Request) error { return b.Object(w, r, true) })
 	s.route("POST", "/v1/sweeps", s.handleSweepCreate)
 	s.route("GET", "/v1/sweeps/{id}", s.handleSweepStatus)
 	s.route("GET", "/v1/sweeps/{id}/results", s.handleSweepResults)
 	s.route("GET", "/v1/sweeps/{id}/events", s.handleSweepEvents)
-	s.route("GET", "/v1/processes", s.handleProcesses)
-	s.route("GET", "/v1/tests", s.handleTests)
-	s.route("GET", "/v1/debug/traces/{id}", s.handleTraceV1)
+	s.route("GET", "/v1/processes", func(w http.ResponseWriter, r *http.Request) error {
+		s.writeData(w, http.StatusOK, map[string]any{"processes": tech.Names()})
+		return nil
+	})
+	s.route("GET", "/v1/tests", func(w http.ResponseWriter, r *http.Request) error {
+		s.writeData(w, http.StatusOK, map[string]any{"tests": canon.TestNames()})
+		return nil
+	})
+	s.route("GET", "/v1/debug/traces/{id}", s.renderTrace)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	// Deprecated alias of /v1/debug/traces/{id}; gateways in the field
-	// still fetch span sets from it, so it stays.
-	s.mux.HandleFunc("GET /debug/trace/{id}", s.handleTrace)
 	if cfg.EnablePprof {
 		s.mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 		s.mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
@@ -272,8 +280,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.EnableStacks {
 		s.route("GET", "/v1/debug/stacks", handleStacks)
-		// Deprecated alias of /v1/debug/stacks.
-		s.mux.HandleFunc("GET /debug/stacks", handleStacks)
 	}
 	return s
 }
@@ -287,18 +293,14 @@ func (s *Server) ResumeSweeps() (int, error) {
 	return s.sweeps.Resume()
 }
 
-// handleStacks is GET /debug/stacks: the stack of every live
+// handleStacks is GET /v1/debug/stacks: the stack of every live
 // goroutine, the in-process equivalent of SIGQUIT for diagnosing
 // stuck drains or wedged workers.
-func handleStacks(w http.ResponseWriter, r *http.Request) {
+func handleStacks(w http.ResponseWriter, r *http.Request) error {
 	buf := make([]byte, 1<<20)
 	for {
 		n := runtime.Stack(buf, true)
-		if n < len(buf) {
-			buf = buf[:n]
-			break
-		}
-		if len(buf) >= 64<<20 {
+		if n < len(buf) || len(buf) >= 64<<20 {
 			buf = buf[:n]
 			break
 		}
@@ -307,7 +309,12 @@ func handleStacks(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
 	w.Write(buf)
+	return nil
 }
+
+// handler is a /v1 handler: a returned error is rendered in the
+// envelope, so a handler returns one only before writing anything.
+type handler func(w http.ResponseWriter, r *http.Request) error
 
 // route registers a method-specific handler plus a bare-path fallback
 // that answers any other method with an enveloped 405 carrying the
@@ -317,81 +324,37 @@ func handleStacks(w http.ResponseWriter, r *http.Request) {
 // allow is the full Allow list ("GET, HEAD"); its first token is the
 // mux method pattern — a GET pattern also matches HEAD, so "GET,
 // HEAD" routes both through h while advertising both in the 405.
-func (s *Server) route(allow, pattern string, h http.HandlerFunc) {
+func (s *Server) route(allow, pattern string, h handler) {
 	method, _, _ := strings.Cut(allow, ",")
-	s.mux.HandleFunc(method+" "+pattern, h)
+	s.mux.HandleFunc(method+" "+pattern, func(w http.ResponseWriter, r *http.Request) {
+		if err := h(w, r); err != nil {
+			s.writeError(w, err)
+		}
+	})
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Allow", allow)
-		s.writeError(w, cerr.New(cerr.CodeBadRequest,
-			"server: method %s not allowed on %s", r.Method, pattern),
-			http.StatusMethodNotAllowed)
+		s.writeError(w, withStatus(http.StatusMethodNotAllowed, cerr.New(cerr.CodeBadRequest,
+			"server: method %s not allowed on %s", r.Method, pattern)))
 	})
 }
 
-// registerMetrics wires the server's instruments plus the runtime
-// gauges (uptime, goroutines, build info) and the cache/store gauges
-// into the obs registry.
+// registerMetrics wires the front's instruments plus the runtime
+// gauges (uptime, goroutines, build info) into the obs registry.
 func (s *Server) registerMetrics() {
-	r := s.obsReg
+	r := s.cfg.Metrics
 	s.httpRequests = r.Counter("http_requests_total", "HTTP requests served.")
 	s.httpDur = r.Histogram("http_request_duration_seconds", "HTTP request handling latency.", nil)
-	s.cacheHits = r.Counter("compile_cache_hits_total", "Compile submissions served from the artifact cache (either tier).")
-	s.storeHits = r.Counter("compile_store_hits_total", "Compile submissions served from the disk store tier (memory miss, disk hit).")
-	s.cacheMisses = r.Counter("compile_cache_misses_total", "Compile submissions that missed both cache tiers.")
-	s.dedupes = r.Counter("compile_deduped_total", "Compile submissions coalesced onto an identical in-flight job.")
-	s.compileDur = r.Histogram("compile_duration_seconds", "End-to-end compile execution time on a worker.", nil)
-	s.stageDur = r.HistogramVec("compile_stage_duration_seconds",
-		"Per-span pipeline stage latency (queue wait, compiler stages, bounded kernels).", "stage", nil)
-	s.slowCompiles = r.Counter("compile_slow_total", "Compiles that exceeded the slow-compile threshold.")
-	s.parStages = r.Counter("compile_parallel_stages_total",
-		"Concurrent stage fan-outs executed across all compiles (leafcells∥microcode, multi-start floorplan, analysis transients).")
-	s.parDegree = r.Histogram("compile_parallelism",
-		"Per-compile goroutine fan-out bound (the parallelism knob after server defaulting).",
-		[]float64{1, 2, 4, 8, 16, 32, 64})
-
+	s.responses = r.CounterVec("http_responses_total", "HTTP responses by status code.", "status")
+	s.errorsByCode = r.CounterVec("http_errors_total", "Enveloped error responses by error code.", "code")
 	r.GaugeFunc("uptime_seconds", "Seconds since the server started.",
 		func() float64 { return time.Since(s.start).Seconds() })
 	r.GaugeFunc("go_goroutines", "Live goroutine count.",
 		func() float64 { return float64(runtime.NumGoroutine()) })
 	r.Info("build_info", "Build metadata from debug.ReadBuildInfo.", buildInfoLabels())
-	if c := s.cfg.Cache; c != nil {
-		r.GaugeFunc("cache_bytes", "Resident artifact cache size in bytes.",
-			func() float64 { return float64(c.Stats().Bytes) })
-		r.GaugeFunc("cache_entries", "Resident artifact cache entry count.",
-			func() float64 { return float64(c.Stats().Entries) })
-	}
-	if st := s.cfg.Store; st != nil {
-		r.GaugeFunc("store_bytes", "Resident disk store size in bytes.",
-			func() float64 { return float64(st.Stats().Bytes) })
-		r.GaugeFunc("store_entries", "Disk store object count.",
-			func() float64 { return float64(st.Stats().Entries) })
-		r.GaugeFunc("store_hits", "Disk store read hits (verified objects served).",
-			func() float64 { return float64(st.Stats().Hits) })
-		r.GaugeFunc("store_misses", "Disk store read misses.",
-			func() float64 { return float64(st.Stats().Misses) })
-		r.GaugeFunc("store_evictions", "Disk store objects removed by the byte-budget GC.",
-			func() float64 { return float64(st.Stats().Evictions) })
-		r.GaugeFunc("store_corrupt", "Disk store objects that failed verification and were quarantined.",
-			func() float64 { return float64(st.Stats().Corrupt) })
-		r.GaugeFunc("store_scanned_at_startup", "Objects the opening index scan found (restart warmness).",
-			func() float64 { return float64(st.Stats().ScannedAtStartup) })
-		r.GaugeFunc("store_quarantine_objects", "Files currently held in the bounded quarantine directory.",
-			func() float64 { return float64(st.Stats().QuarantineObjects) })
-		const peerFetchHelp = "Ring-peer artifact fetches on local store miss, by outcome."
-		r.CounterFuncLabeled("store_peer_fetch_total", peerFetchHelp,
-			map[string]string{"outcome": "hit"},
-			func() float64 { return float64(st.Stats().PeerHits) })
-		r.CounterFuncLabeled("store_peer_fetch_total", peerFetchHelp,
-			map[string]string{"outcome": "miss"},
-			func() float64 { return float64(st.Stats().PeerMisses) })
-		r.CounterFuncLabeled("store_peer_fetch_total", peerFetchHelp,
-			map[string]string{"outcome": "corrupt"},
-			func() float64 { return float64(st.Stats().PeerCorrupt) })
-	}
 	if cl := s.cfg.Cluster; cl != nil {
 		r.GaugeFunc("cluster_ring_version", "Monotonic ring version; bumps on every member up/down transition.",
 			func() float64 { return float64(cl.RingVersion()) })
-		r.GaugeFunc("cluster_peers_up", "Fleet members currently considered healthy.",
+		r.GaugeFunc("cluster_peers_up", "Fleet members currently passing health probes.",
 			func() float64 { return float64(cl.PeersUp()) })
 		r.GaugeFunc("cluster_peers_total", "Fleet members in the configured ring.",
 			func() float64 { return float64(cl.PeersTotal()) })
@@ -399,12 +362,6 @@ func (s *Server) registerMetrics() {
 	if in := s.cfg.Chaos; in != nil {
 		r.CounterFunc("chaos_injections_total", "Scripted faults the chaos injector has fired.",
 			func() float64 { return float64(in.Fired()) })
-	}
-	if q := s.cfg.Queue; q != nil {
-		r.GaugeFunc("compiles_inflight", "Compiles currently executing on workers.",
-			func() float64 { return float64(q.Stats().Running) })
-		r.GaugeFunc("queue_depth", "Compile jobs queued and not yet running.",
-			func() float64 { return float64(q.Stats().Queued) })
 	}
 }
 
@@ -436,10 +393,9 @@ func (s *Server) Handler() http.Handler {
 		rw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		s.mux.ServeHTTP(rw, r)
 		dur := time.Since(startT)
-		s.metrics.Add("requests_total", 1)
-		s.byStatus.Add(fmt.Sprintf("%d", rw.status), 1)
 		s.httpRequests.Inc()
 		s.httpDur.ObserveDuration(dur)
+		s.responses.With(strconv.Itoa(rw.status)).Inc()
 		s.logRequest(r, rw, dur)
 	})
 }
@@ -473,6 +429,15 @@ func (w *statusWriter) Flush() {
 	if f, ok := w.ResponseWriter.(http.Flusher); ok {
 		f.Flush()
 	}
+}
+
+// annotate returns the request-log annotations of w (a throwaway when
+// w is not the logging wrapper).
+func annotate(w http.ResponseWriter) *statusWriter {
+	if rw, ok := w.(*statusWriter); ok {
+		return rw
+	}
+	return &statusWriter{}
 }
 
 // logRequest emits one structured JSON line per request.
@@ -519,7 +484,14 @@ func (s *Server) logRequest(r *http.Request, rw *statusWriter, dur time.Duration
 //	ERR_BUDGET_EXCEEDED                    -> 504 Gateway Timeout
 //	ERR_OVERLOADED                         -> 429 Too Many Requests (+ Retry-After)
 //	ERR_INTERNAL, ERR_UNKNOWN              -> 500 Internal Server Error
+//
+// An error built by NotFound (or pinned to a status by the front, such
+// as 405 or 413) answers with that status instead.
 func HTTPStatus(err error) int {
+	var he *httpError
+	if errors.As(err, &he) {
+		return he.status
+	}
 	switch cerr.CodeOf(err) {
 	case cerr.CodeBadRequest, cerr.CodeInvalidParams, cerr.CodeDeckParse, cerr.CodeMarchParse, cerr.CodePlaneParse:
 		return http.StatusBadRequest
@@ -535,6 +507,23 @@ func HTTPStatus(err error) int {
 	}
 }
 
+// httpError pins the status an error is answered with.
+type httpError struct {
+	status int
+	err    error
+}
+
+func (e *httpError) Error() string { return e.err.Error() }
+func (e *httpError) Unwrap() error { return e.err }
+
+func withStatus(status int, err error) error { return &httpError{status: status, err: err} }
+
+// NotFound is the enveloped 404 (code ERR_INVALID_PARAMS) for an
+// unknown id or key.
+func NotFound(format string, args ...any) error {
+	return withStatus(http.StatusNotFound, cerr.New(cerr.CodeInvalidParams, format, args...))
+}
+
 // retryAfterSeconds computes the Retry-After hint for shed load: the
 // observed p50 compile latency scaled by how many queue drains stand
 // between the client and a free worker, clamped to [1s, 120s]. With
@@ -543,27 +532,10 @@ func HTTPStatus(err error) int {
 func (s *Server) retryAfterSeconds() int {
 	p50 := s.compileDur.Snapshot().Quantile(0.5)
 	var backlog float64
-	if q := s.cfg.Queue; q != nil {
-		qs := q.Stats()
-		if qs.Workers > 0 {
-			backlog = float64(qs.Queued+qs.Running) / float64(qs.Workers)
-		}
+	if qs := s.cfg.Queue.Stats(); qs.Workers > 0 {
+		backlog = float64(qs.Queued+qs.Running) / float64(qs.Workers)
 	}
-	secs := int(p50 * (1 + backlog))
-	if secs < 1 {
-		secs = 1
-	}
-	if secs > 120 {
-		secs = 120
-	}
-	return secs
-}
-
-// wireError is the envelope's error member.
-type wireError struct {
-	Code    string `json:"code"`
-	Stage   string `json:"stage,omitempty"`
-	Message string `json:"message"`
+	return min(max(int(p50*(1+backlog)), 1), 120)
 }
 
 // envelope is the uniform /v1 response document: exactly one payload
@@ -571,35 +543,29 @@ type wireError struct {
 // null on success. Paged collection responses additionally carry the
 // page metadata beside the payload.
 type envelope struct {
-	Job   any         `json:"job,omitempty"`
-	Sweep any         `json:"sweep,omitempty"`
-	Data  any         `json:"data,omitempty"`
-	Page  *sweep.Page `json:"page,omitempty"`
-	Error *wireError  `json:"error"`
+	Job   any              `json:"job,omitempty"`
+	Sweep any              `json:"sweep,omitempty"`
+	Data  any              `json:"data,omitempty"`
+	Page  *sweep.Page      `json:"page,omitempty"`
+	Error *sweep.WireError `json:"error"`
 }
 
-// writeError renders err in the envelope with its mapped (or
-// overridden) status.
-func (s *Server) writeError(w http.ResponseWriter, err error, statusOverride int) {
-	status := statusOverride
-	if status == 0 {
-		status = HTTPStatus(err)
-	}
+// writeError renders err in the envelope with its mapped status.
+func (s *Server) writeError(w http.ResponseWriter, err error) {
+	status := HTTPStatus(err)
 	if status == http.StatusTooManyRequests {
 		// Shed load carries a concrete hint: the observed p50 compile
 		// latency scaled by the queue backlog. Part of the documented
 		// retry contract.
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
 	}
-	we := &wireError{
+	we := &sweep.WireError{
 		Code:    cerr.CodeOf(err).String(),
 		Stage:   cerr.StageOf(err),
 		Message: err.Error(),
 	}
-	s.byCode.Add(we.Code, 1)
-	if rw, ok := w.(*statusWriter); ok {
-		rw.meta.errCode = we.Code
-	}
+	s.errorsByCode.With(we.Code).Inc()
+	annotate(w).meta.errCode = we.Code
 	s.writeJSON(w, status, envelope{Error: we})
 }
 
@@ -630,527 +596,75 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Write(b)
 }
 
-// compileResponse is the "job" payload of submit/result responses.
-type compileResponse struct {
-	Key      string `json:"key"`
-	JobID    string `json:"job_id,omitempty"`
-	State    string `json:"state"`
-	Cached   bool   `json:"cached"`
-	Deduped  bool   `json:"deduped,omitempty"`
-	Degraded bool   `json:"degraded,omitempty"`
-	// CacheTier names the tier a cached response was served from:
-	// "hit" (memory) or "hit-disk" (store, promoted to memory).
-	CacheTier string `json:"cache_tier,omitempty"`
-	// ElapsedMs is the server-side handling time for this request —
-	// on a cache hit it collapses to lookup cost.
-	ElapsedMs float64         `json:"elapsed_ms"`
-	Artifacts map[string]int  `json:"artifacts,omitempty"` // name -> byte size
-	Report    json.RawMessage `json:"report,omitempty"`
-}
-
-// lookupEntry probes the two-tier artifact cache: the in-memory LRU
-// first, then the disk store, promoting disk hits into memory. The
-// returned tier is "hit", "hit-disk" or "miss".
-func (s *Server) lookupEntry(key string) (*cache.Entry, string, bool) {
-	if e, ok := s.cfg.Cache.Get(key); ok {
-		return e, "hit", true
-	}
-	if st := s.cfg.Store; st != nil {
-		if e, ok := st.Get(key); ok {
-			s.cfg.Cache.Put(e)
-			return e, "hit-disk", true
-		}
-	}
-	return nil, "miss", false
-}
-
-// handleCompile is POST /v1/compile.
-func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
-	startT := time.Now()
+// readBody reads a bounded request body; an oversized or broken one
+// is a 413 with the given code.
+func readBody(w http.ResponseWriter, r *http.Request, code cerr.Code, what string) ([]byte, error) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxRequestBody))
 	if err != nil {
-		s.writeError(w, cerr.Wrap(cerr.CodeInvalidParams, err, "server: request body"), http.StatusRequestEntityTooLarge)
-		return
+		return nil, withStatus(http.StatusRequestEntityTooLarge, cerr.Wrap(code, err, "server: %s", what))
+	}
+	return body, nil
+}
+
+// handleCompile is POST /v1/compile: the strict canonical parse and
+// key every role shares, then the backend's compile.
+func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) error {
+	start := time.Now()
+	body, err := readBody(w, r, cerr.CodeInvalidParams, "request body")
+	if err != nil {
+		return err
 	}
 	req, err := canon.ParseRequest(body)
 	if err != nil {
-		s.writeError(w, err, 0)
-		return
+		return err
 	}
 	params, err := req.Params()
 	if err != nil {
-		s.writeError(w, err, 0)
-		return
+		return err
 	}
 	key, err := canon.KeyOfParams(params)
 	if err != nil {
-		s.writeError(w, err, 0)
-		return
+		return err
 	}
-	// Server-side concurrency default. Applied strictly AFTER keying:
-	// parallelism is an execution knob the canonical key excludes, so
-	// a request compiled serially elsewhere still hits this entry.
-	if params.Parallelism == 0 && s.cfg.CompileParallelism > 0 {
-		params.Parallelism = s.cfg.CompileParallelism
-	}
-	if rw, ok := w.(*statusWriter); ok {
-		rw.meta.key = key
-	}
-	pri, err := jobs.ParsePriority(r.URL.Query().Get("priority"))
-	if err != nil {
-		s.writeError(w, err, 0)
-		return
-	}
-
-	// Content-addressed fast path: an identical fully-validated input
-	// has already been compiled, in this process (memory tier) or a
-	// previous one (disk tier).
-	if entry, tier, ok := s.lookupEntry(key); ok {
-		s.metrics.Add("compile_cache_hits", 1)
-		s.cacheHits.Inc()
-		if tier == "hit-disk" {
-			s.metrics.Add("compile_store_hits", 1)
-			s.storeHits.Inc()
-		}
-		s.annotateCache(w, tier)
-		resp := s.entryResponse(entry, "", false, startT, true)
-		resp.CacheTier = tier
-		s.writeJob(w, http.StatusOK, resp)
-		return
-	}
-	s.annotateCache(w, "miss")
-	s.metrics.Add("compile_cache_misses", 1)
-	s.cacheMisses.Inc()
-
-	// Every submission carries a trace: the queue records the wait span,
-	// the pipeline records its stage spans, and the completed tree is
-	// retrievable via GET /debug/trace/{job_id}. Deduped submissions
-	// share the first submitter's trace. A traceparent header continues
-	// the sender's distributed trace — same trace ID, with the remote
-	// span remembered so the gateway's merge parents this shard's spans
-	// under its proxy.route span.
-	tr := obs.NewTrace("")
-	if tid, parent, ok := obs.ParseTraceparent(r.Header.Get(obs.TraceHeader)); ok {
-		tr = obs.NewTraceRemote(tid, parent)
-	}
-	job, deduped, err := s.cfg.Queue.SubmitTraced(key, pri, tr, func(ctx context.Context) (any, error) {
-		runStart := time.Now()
-		entry, cmpErr := s.runCompile(ctx, key, params)
-		s.observeCompile(obs.FromContext(ctx), time.Since(runStart), key, cmpErr)
-		if cmpErr != nil {
-			return nil, cmpErr
-		}
-		return entry, nil
-	})
-	if err != nil {
-		// Overload (full or draining queue) back-pressures as
-		// ERR_OVERLOADED -> 429 + Retry-After via the standard mapping.
-		s.writeError(w, err, 0)
-		return
-	}
-	s.trackJob(job, key)
-	if deduped {
-		s.metrics.Add("compile_deduped", 1)
-		s.dedupes.Inc()
-	}
-
-	if r.URL.Query().Get("async") != "" {
-		s.writeJob(w, http.StatusAccepted, compileResponse{
-			Key: key, JobID: job.ID, State: job.State().String(),
-			Deduped: deduped, ElapsedMs: msSince(startT),
-		})
-		return
-	}
-
-	waitCtx := r.Context()
-	if s.cfg.SyncWait > 0 {
-		var cancel context.CancelFunc
-		waitCtx, cancel = context.WithTimeout(waitCtx, s.cfg.SyncWait)
-		defer cancel()
-	}
-	value, jerr := job.Result(waitCtx)
-	if jerr != nil {
-		if waitCtx.Err() != nil && job.State() != jobs.StateFailed {
-			// The wait budget expired but the job lives on: hand back a
-			// handle instead of an error.
-			s.writeJob(w, http.StatusAccepted, compileResponse{
-				Key: key, JobID: job.ID, State: job.State().String(),
-				Deduped: deduped, ElapsedMs: msSince(startT),
-			})
-			return
-		}
-		s.writeError(w, jerr, 0)
-		return
-	}
-	entry := value.(*cache.Entry)
-	resp := s.entryResponse(entry, job.ID, deduped, startT, false)
-	s.writeJob(w, http.StatusOK, resp)
-}
-
-// runCompile executes the pipeline under the job context, renders the
-// cacheable artifact set and fills both cache tiers.
-func (s *Server) runCompile(ctx context.Context, key string, params compiler.Params) (*cache.Entry, error) {
-	ctx = chaos.WithContext(ctx, s.cfg.Chaos)
-	d, err := compiler.CompileCtx(ctx, params)
-	if err != nil {
-		return nil, err
-	}
-	js, err := d.JSON()
-	if err != nil {
-		return nil, cerr.Wrap(cerr.CodeInternal, err, "server: report rendering")
-	}
-	entry := &cache.Entry{
-		Key:       key,
-		Report:    []byte(js),
-		Artifacts: map[string][]byte{},
-		Degraded:  len(d.Degradations) > 0,
-	}
-	entry.Artifacts["datasheet.json"] = []byte(js)
-	entry.Artifacts["datasheet.txt"] = []byte(d.Datasheet())
-	var and, or strings.Builder
-	if err := d.Prog.WritePlanes(&and, &or); err == nil {
-		entry.Artifacts["trpla_and.plane"] = []byte(and.String())
-		entry.Artifacts["trpla_or.plane"] = []byte(or.String())
-	}
-	if d.Top != nil {
-		entry.Artifacts["layout.svg"] = []byte(render.SVG(d.Top, render.Options{Depth: 0}))
-		var g strings.Builder
-		if err := gds.Write(&g, d.Top, d.Top.Name); err == nil {
-			entry.Artifacts["layout.gds"] = []byte(g.String())
-		}
-	}
-	s.cfg.Cache.Put(entry)
-	if st := s.cfg.Store; st != nil {
-		// Disk persistence is best-effort: a full disk or an over-budget
-		// object must not fail the compile that produced the entry.
-		if perr := st.Put(entry); perr != nil {
-			s.metrics.Add("store_put_errors", 1)
-		}
-	}
-	s.metrics.Add("compiles_total", 1)
-	return entry, nil
-}
-
-// observeCompile folds one finished compile into the telemetry: the
-// end-to-end duration histogram, every recorded span (queue wait,
-// compiler stages, bounded kernels) into the per-stage histogram vec,
-// and — when the execution exceeded the slow-compile threshold — the
-// span tree into the forensics log.
-func (s *Server) observeCompile(tr *obs.Trace, dur time.Duration, key string, err error) {
-	s.compileDur.ObserveDuration(dur)
-	for _, sp := range tr.Spans() {
-		s.stageDur.With(sp.Name).ObserveDuration(sp.Dur)
-		// The compiler annotates its root span with the effective
-		// concurrency: fold the fan-out degree into a histogram and
-		// count the concurrent stage groups that actually ran.
-		if sp.Name == "compile" {
-			for _, a := range sp.Attrs {
-				switch a.Key {
-				case "parallelism":
-					if v, perr := strconv.Atoi(a.Value); perr == nil {
-						s.parDegree.Observe(float64(v))
-					}
-				case "parallel_stages":
-					if v, perr := strconv.Atoi(a.Value); perr == nil && v > 0 {
-						s.parStages.Add(uint64(v))
-					}
-				}
-			}
-		}
-	}
-	if s.cfg.SlowCompile <= 0 || dur < s.cfg.SlowCompile {
-		return
-	}
-	s.slowCompiles.Inc()
-	w := s.cfg.SlowLogWriter
-	if w == nil {
-		return
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "SLOW COMPILE key=%s dur=%s threshold=%s", key, dur.Round(time.Microsecond), s.cfg.SlowCompile)
-	if err != nil {
-		fmt.Fprintf(&b, " err=%s", cerr.CodeOf(err))
-	}
-	b.WriteByte('\n')
-	b.WriteString(tr.Tree())
-	s.logMu.Lock()
-	defer s.logMu.Unlock()
-	io.WriteString(w, b.String())
-}
-
-// entryResponse builds the "job" payload for a completed entry.
-func (s *Server) entryResponse(e *cache.Entry, jobID string, deduped bool, startT time.Time, cached bool) compileResponse {
-	sizes := make(map[string]int, len(e.Artifacts))
-	for name, b := range e.Artifacts {
-		sizes[name] = len(b)
-	}
-	return compileResponse{
-		Key: e.Key, JobID: jobID, State: jobs.StateDone.String(),
-		Cached: cached, Deduped: deduped, Degraded: e.Degraded,
-		ElapsedMs: msSince(startT),
-		Artifacts: sizes,
-		Report:    json.RawMessage(e.Report),
-	}
-}
-
-func (s *Server) annotateCache(w http.ResponseWriter, state string) {
-	if rw, ok := w.(*statusWriter); ok {
-		rw.meta.cacheState = state
-	}
-}
-
-// trackJob registers a job for the status endpoints and retains its
-// trace for GET /debug/trace/{id}, evicting the oldest trace beyond
-// the configured budget (FIFO — forensics favour recent jobs).
-func (s *Server) trackJob(j *jobs.Job, key string) {
-	s.jobMu.Lock()
-	defer s.jobMu.Unlock()
-	s.jobsByID[j.ID] = j
-	s.keyByID[j.ID] = key
-	tr := j.Trace()
-	if tr == nil {
-		return
-	}
-	if _, seen := s.traceByID[j.ID]; seen {
-		return
-	}
-	s.traceByID[j.ID] = tr
-	s.traceOrder = append(s.traceOrder, j.ID)
-	for len(s.traceOrder) > s.cfg.TraceBudget {
-		delete(s.traceByID, s.traceOrder[0])
-		s.traceOrder = s.traceOrder[1:]
-	}
-}
-
-// lookupTrace resolves a retained trace by job id.
-func (s *Server) lookupTrace(id string) (*obs.Trace, bool) {
-	s.jobMu.Lock()
-	defer s.jobMu.Unlock()
-	tr, ok := s.traceByID[id]
-	return tr, ok
-}
-
-// lookupJob resolves a tracked job by id.
-func (s *Server) lookupJob(id string) (*jobs.Job, string, bool) {
-	s.jobMu.Lock()
-	defer s.jobMu.Unlock()
-	j, ok := s.jobsByID[id]
-	return j, s.keyByID[id], ok
-}
-
-// jobStatusBody is the "job" payload of GET /v1/jobs/{id}.
-type jobStatusBody struct {
-	JobID     string  `json:"job_id"`
-	Key       string  `json:"key"`
-	State     string  `json:"state"`
-	Priority  string  `json:"priority"`
-	Attached  int64   `json:"attached"`
-	QueuedMs  float64 `json:"queued_ms"`
-	RunMs     float64 `json:"run_ms,omitempty"`
-	Error     string  `json:"error,omitempty"`
-	ErrorCode string  `json:"error_code,omitempty"`
-}
-
-// handleJobStatus is GET /v1/jobs/{id}.
-func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
-	j, key, ok := s.lookupJob(r.PathValue("id"))
-	if !ok {
-		s.writeError(w, cerr.New(cerr.CodeInvalidParams, "server: unknown job %q", r.PathValue("id")), http.StatusNotFound)
-		return
-	}
-	submitted, started, finished := j.Times()
-	body := jobStatusBody{
-		JobID: j.ID, Key: key, State: j.State().String(),
-		Priority: j.Priority.String(), Attached: j.Attached(),
-	}
-	switch {
-	case started.IsZero() && !finished.IsZero():
-		// Cancelled before execution (drain fast-fail): the queue wait
-		// ended when the job was failed, not now.
-		body.QueuedMs = float64(finished.Sub(submitted).Microseconds()) / 1000
-	case started.IsZero():
-		body.QueuedMs = msSince(submitted)
-	default:
-		body.QueuedMs = float64(started.Sub(submitted).Microseconds()) / 1000
-	}
-	if !started.IsZero() {
-		end := finished
-		if end.IsZero() {
-			end = time.Now()
-		}
-		body.RunMs = float64(end.Sub(started).Microseconds()) / 1000
-	}
-	if _, jerr, done := j.Peek(); done && jerr != nil {
-		body.Error = jerr.Error()
-		body.ErrorCode = cerr.CodeOf(jerr).String()
-	}
-	s.writeJob(w, http.StatusOK, body)
-}
-
-// handleJobResult is GET /v1/jobs/{id}/result: the canonical compile
-// report under the envelope's "data" member.
-func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
-	j, _, ok := s.lookupJob(r.PathValue("id"))
-	if !ok {
-		s.writeError(w, cerr.New(cerr.CodeInvalidParams, "server: unknown job %q", r.PathValue("id")), http.StatusNotFound)
-		return
-	}
-	value, jerr, done := j.Peek()
-	if !done {
-		s.writeJob(w, http.StatusAccepted, map[string]string{
-			"job_id": j.ID, "state": j.State().String(),
-		})
-		return
-	}
-	if jerr != nil {
-		s.writeError(w, jerr, 0)
-		return
-	}
-	entry := value.(*cache.Entry)
-	s.writeData(w, http.StatusOK, json.RawMessage(entry.Report))
-}
-
-// handleJobArtifact is GET /v1/jobs/{id}/artifact/{name}: a raw
-// artifact stream (no envelope) with Content-Length and a per-kind
-// Content-Type.
-func (s *Server) handleJobArtifact(w http.ResponseWriter, r *http.Request) {
-	j, key, ok := s.lookupJob(r.PathValue("id"))
-	if !ok {
-		s.writeError(w, cerr.New(cerr.CodeInvalidParams, "server: unknown job %q", r.PathValue("id")), http.StatusNotFound)
-		return
-	}
-	name := r.PathValue("name")
-	value, jerr, done := j.Peek()
-	if !done {
-		s.writeJob(w, http.StatusAccepted, map[string]string{"job_id": j.ID, "state": j.State().String()})
-		return
-	}
-	if jerr != nil {
-		s.writeError(w, jerr, 0)
-		return
-	}
-	entry := value.(*cache.Entry)
-	body, ok := entry.Artifacts[name]
-	if !ok {
-		// The job's entry may also have been evicted and refetched;
-		// consult the two-tier cache as a second chance.
-		if cached, _, hit := s.lookupEntry(key); hit {
-			if b, ok2 := cached.Artifacts[name]; ok2 {
-				writeArtifact(w, r, name, b)
-				return
-			}
-		}
-		s.writeError(w, cerr.New(cerr.CodeInvalidParams,
-			"server: no artifact %q (have %v)", name, entry.ArtifactNames()), http.StatusNotFound)
-		return
-	}
-	writeArtifact(w, r, name, body)
-}
-
-// handleObject is GET/HEAD /v1/objects/{key}: the verbatim on-disk
-// object image for a content key — the shard-to-shard artifact fetch
-// endpoint. The bytes are served UNVERIFIED by design: the fetching
-// peer runs them through its own verified-read path, so a corrupt
-// image quarantines on the fetcher exactly like local disk rot, and
-// this handler never pays a hash pass.
-func (s *Server) handleObject(w http.ResponseWriter, r *http.Request) {
-	st := s.cfg.Store
-	if st == nil {
-		s.writeError(w, cerr.New(cerr.CodeInvalidParams, "server: no object store configured"), http.StatusNotFound)
-		return
-	}
-	key := r.PathValue("key")
-	raw, ok := st.ReadRaw(key)
-	if !ok {
-		s.writeError(w, cerr.New(cerr.CodeInvalidParams, "server: no object %s", key), http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(len(raw)))
-	w.WriteHeader(http.StatusOK)
-	if r.Method != http.MethodHead {
-		w.Write(raw)
-	}
-}
-
-// handleObjectReport is GET /v1/objects/{key}/report: the cached
-// compile report for a content key, served only when a cache tier
-// (memory, disk, or a ring peer via the store's fetch seam) already
-// holds it — it never triggers a compile. This is the gateway sweep
-// Lookup seam: how a federated sweep tells a warm point from one that
-// needs routing, so cluster sweep rows carry the same cached flags a
-// warm single daemon would report.
-func (s *Server) handleObjectReport(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	entry, _, ok := s.lookupEntry(key)
-	if !ok {
-		s.writeError(w, cerr.New(cerr.CodeInvalidParams, "server: key %s not cached", key), http.StatusNotFound)
-		return
-	}
-	s.writeData(w, http.StatusOK, map[string]any{
-		"key":      key,
-		"degraded": entry.Degraded,
-		"report":   json.RawMessage(entry.Report),
-	})
-}
-
-// writeArtifact streams an artifact with its per-kind content type
-// and an explicit Content-Length, so clients can size progress bars
-// and proxies never have to buffer for chunking. HEAD requests get
-// the identical headers with no body — how clients size a download
-// without paying for it.
-func writeArtifact(w http.ResponseWriter, r *http.Request, name string, body []byte) {
-	w.Header().Set("Content-Type", artifactContentType(name))
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	w.WriteHeader(http.StatusOK)
-	if r.Method != http.MethodHead {
-		w.Write(body)
-	}
-}
-
-// artifactContentType maps an artifact name to its media type.
-func artifactContentType(name string) string {
-	switch {
-	case strings.HasSuffix(name, ".json"):
-		return "application/json; charset=utf-8"
-	case strings.HasSuffix(name, ".svg"):
-		return "image/svg+xml"
-	case strings.HasSuffix(name, ".gds"):
-		return "application/octet-stream"
-	default:
-		return "text/plain; charset=utf-8"
-	}
+	annotate(w).meta.key = key
+	return s.backend.Compile(w, r, Submission{Body: body, Key: key, Params: params, Start: start})
 }
 
 // handleSweepCreate is POST /v1/sweeps.
-func (s *Server) handleSweepCreate(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxRequestBody))
+func (s *Server) handleSweepCreate(w http.ResponseWriter, r *http.Request) error {
+	body, err := readBody(w, r, cerr.CodeBadRequest, "sweep body")
 	if err != nil {
-		s.writeError(w, cerr.Wrap(cerr.CodeBadRequest, err, "server: sweep body"), http.StatusRequestEntityTooLarge)
-		return
+		return err
 	}
 	spec, err := sweep.ParseSpec(body)
 	if err != nil {
-		s.writeError(w, err, 0)
-		return
+		return err
 	}
 	sw, err := s.sweeps.Create(spec)
 	if err != nil {
-		s.writeError(w, err, 0)
-		return
+		return err
 	}
-	s.metrics.Add("sweeps_total", 1)
 	s.writeSweep(w, http.StatusAccepted, sw.Status())
+	return nil
+}
+
+// lookupSweep resolves the {id} path value.
+func (s *Server) lookupSweep(r *http.Request) (*sweep.Sweep, error) {
+	sw, ok := s.sweeps.Get(r.PathValue("id"))
+	if !ok {
+		return nil, NotFound("server: unknown sweep %q", r.PathValue("id"))
+	}
+	return sw, nil
 }
 
 // handleSweepStatus is GET /v1/sweeps/{id}.
-func (s *Server) handleSweepStatus(w http.ResponseWriter, r *http.Request) {
-	sw, ok := s.sweeps.Get(r.PathValue("id"))
-	if !ok {
-		s.writeError(w, cerr.New(cerr.CodeInvalidParams, "server: unknown sweep %q", r.PathValue("id")), http.StatusNotFound)
-		return
+func (s *Server) handleSweepStatus(w http.ResponseWriter, r *http.Request) error {
+	sw, err := s.lookupSweep(r)
+	if err != nil {
+		return err
 	}
 	s.writeSweep(w, http.StatusOK, sw.Status())
+	return nil
 }
 
 // handleSweepResults is GET /v1/sweeps/{id}/results. Without query
@@ -1158,30 +672,27 @@ func (s *Server) handleSweepStatus(w http.ResponseWriter, r *http.Request) {
 // with ?offset= and/or ?limit= it returns one window of rows and puts
 // the page metadata (total, next_offset) beside the payload in the
 // envelope.
-func (s *Server) handleSweepResults(w http.ResponseWriter, r *http.Request) {
-	sw, ok := s.sweeps.Get(r.PathValue("id"))
-	if !ok {
-		s.writeError(w, cerr.New(cerr.CodeInvalidParams, "server: unknown sweep %q", r.PathValue("id")), http.StatusNotFound)
-		return
+func (s *Server) handleSweepResults(w http.ResponseWriter, r *http.Request) error {
+	sw, err := s.lookupSweep(r)
+	if err != nil {
+		return err
 	}
 	res := sw.Results()
 	offset, limit, paged, err := PageParams(r)
 	if err != nil {
-		s.writeError(w, err, 0)
-		return
+		return err
 	}
 	if !paged {
 		s.writeData(w, http.StatusOK, res)
-		return
+		return nil
 	}
 	win, pg := res.Paginate(offset, limit)
 	s.writeJSON(w, http.StatusOK, envelope{Data: win, Page: &pg})
+	return nil
 }
 
 // PageParams parses ?offset=&limit= from a collection request. paged
-// is false when neither is present (the full-document default). The
-// gateway shares it so both serving layers reject malformed windows
-// with the same enveloped error.
+// is false when neither is present (the full-document default).
 func PageParams(r *http.Request) (offset, limit int, paged bool, err error) {
 	q := r.URL.Query()
 	offStr, limStr := q.Get("offset"), q.Get("limit")
@@ -1208,157 +719,134 @@ func PageParams(r *http.Request) (offset, limit int, paged bool, err error) {
 // handleSweepEvents is GET /v1/sweeps/{id}/events: the live progress
 // stream (SSE) — every point transition exactly once by cursor, plus
 // heartbeats and a terminal summary.
-func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
-	sw, ok := s.sweeps.Get(r.PathValue("id"))
-	if !ok {
-		s.writeError(w, cerr.New(cerr.CodeInvalidParams, "server: unknown sweep %q", r.PathValue("id")), http.StatusNotFound)
-		return
+func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) error {
+	sw, err := s.lookupSweep(r)
+	if err != nil {
+		return err
 	}
 	sweep.ServeEvents(w, r, sw, s.cfg.SSEHeartbeat)
-}
-
-// handleProcesses is GET /v1/processes.
-func (s *Server) handleProcesses(w http.ResponseWriter, r *http.Request) {
-	s.writeData(w, http.StatusOK, map[string]any{"processes": tech.Names()})
-}
-
-// handleTests is GET /v1/tests.
-func (s *Server) handleTests(w http.ResponseWriter, r *http.Request) {
-	s.writeData(w, http.StatusOK, map[string]any{"tests": canon.TestNames()})
+	return nil
 }
 
 // handleHealthz is GET /healthz.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	qs := s.cfg.Queue.Stats()
-	status := http.StatusOK
-	state := "ok"
-	if qs.Draining {
-		// Shedding state: load balancers should stop routing here.
-		status = http.StatusServiceUnavailable
-		state = "draining"
-	}
 	body := map[string]any{
-		"status":   state,
+		"status":   "ok",
 		"uptime_s": time.Since(s.start).Seconds(),
-		"workers":  qs.Workers,
 		// Resume debt: what a restart right now would owe (in-flight
 		// sweeps and points, and how many of those points would be lost
 		// outright without a journal).
 		"sweeps": s.sweeps.Backlog(),
 	}
 	if cl := s.cfg.Cluster; cl != nil {
-		body["role"] = "shard"
-		body["self"] = cl.Self()
-		if gw := cl.Gateway(); gw != "" {
-			body["gateway"] = gw
-		}
 		body["ring_version"] = cl.RingVersion()
 		body["peers_up"] = cl.PeersUp()
 		body["peers_total"] = cl.PeersTotal()
 	}
+	status := s.backend.Health(body)
 	s.writeJSON(w, status, body)
 }
 
-// metricsBody is the /metrics document.
-type metricsBody struct {
-	Server  json.RawMessage `json:"server"`
-	Cache   cache.Stats     `json:"cache"`
-	Store   *store.Stats    `json:"store,omitempty"`
-	Queue   jobs.Stats      `json:"queue"`
-	Obs     map[string]any  `json:"obs"`
-	UptimeS float64         `json:"uptime_s"`
-}
-
-// handleMetrics is GET /metrics: dual exposition. The default is the
-// expvar-backed counter map plus cache, store, queue and obs-registry
-// snapshots in one JSON document; ?format=prometheus renders the obs
-// registry as text exposition format 0.0.4 for scrapers.
+// handleMetrics is GET /metrics: the obs registry snapshot plus the
+// queue (and, on a daemon, cache and store) statistics in one JSON
+// document; ?format=prometheus renders the registry as text
+// exposition format 0.0.4 for scrapers. ?scope=fleet on a gateway
+// scrapes every ring member and re-emits one merged document instead:
+// counters and histogram buckets summed, gauges labelled per node.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "prometheus" {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		w.WriteHeader(http.StatusOK)
-		s.obsReg.WritePrometheus(w)
+	prom := r.URL.Query().Get("format") == "prometheus"
+	body := map[string]any{"uptime_s": time.Since(s.start).Seconds()}
+	if r.URL.Query().Get("scope") == "fleet" {
+		if scrapes, errs, ok := s.backend.ScrapeFleet(r.Context()); ok {
+			merged := obs.MergeFleet(scrapes)
+			if prom {
+				writePrometheus(w, merged.WritePrometheus)
+				return
+			}
+			nodes := make([]string, 0, len(scrapes))
+			for _, sc := range scrapes {
+				nodes = append(nodes, sc.Node)
+			}
+			body["scope"] = "fleet"
+			body["nodes"] = nodes
+			body["scrape_errors"] = errs
+			body["obs"] = merged.Snapshot()
+			s.writeJSON(w, http.StatusOK, body)
+			return
+		}
+	}
+	if prom {
+		writePrometheus(w, s.cfg.Metrics.WritePrometheus)
 		return
 	}
-	body := metricsBody{
-		Server:  json.RawMessage(s.metrics.String()),
-		Cache:   s.cfg.Cache.Stats(),
-		Queue:   s.cfg.Queue.Stats(),
-		Obs:     s.obsReg.Snapshot(),
-		UptimeS: time.Since(s.start).Seconds(),
+	body["obs"] = s.cfg.Metrics.Snapshot()
+	body["queue"] = s.cfg.Queue.Stats()
+	if c := s.cfg.Cache; c != nil {
+		body["cache"] = c.Stats()
 	}
 	if st := s.cfg.Store; st != nil {
-		stats := st.Stats()
-		body.Store = &stats
+		body["store"] = st.Stats()
 	}
 	s.writeJSON(w, http.StatusOK, body)
 }
 
-// handleTrace is GET /debug/trace/{id}, the deprecated pre-/v1 alias
-// of /v1/debug/traces/{id}: the retained span set of a completed (or
-// in-flight) job, as Chrome trace-event JSON by default — load it in
-// chrome://tracing or Perfetto — or as an indented text tree with
-// ?format=tree or a raw span set with ?format=spans.
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	s.renderTrace(w, r, r.URL.Query().Get("format"))
+func writePrometheus(w http.ResponseWriter, write func(io.Writer) error) {
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	w.WriteHeader(http.StatusOK)
+	write(w)
 }
 
-// handleTraceV1 is GET /v1/debug/traces/{id}. The representation is
-// negotiated: ?format=tree|spans|chrome wins when present, otherwise
-// an Accept header of text/plain selects the tree and anything else
-// the Chrome trace-event JSON.
-func (s *Server) handleTraceV1(w http.ResponseWriter, r *http.Request) {
+// renderTrace is GET /v1/debug/traces/{id}: the retained span set of
+// a completed (or in-flight) job — on a gateway, merged with the
+// issuing shard's. The representation is negotiated: ?format=tree|
+// spans|chrome wins when present, otherwise an Accept header of
+// text/plain selects the indented text tree and anything else the
+// Chrome trace-event JSON (load it in chrome://tracing or Perfetto).
+func (s *Server) renderTrace(w http.ResponseWriter, r *http.Request) error {
+	id := r.PathValue("id")
+	tr, merged, ok := s.backend.Trace(r.Context(), id)
+	if !ok {
+		return NotFound("server: no trace for job %q", id)
+	}
 	format := r.URL.Query().Get("format")
 	if format == "" && strings.HasPrefix(r.Header.Get("Accept"), "text/plain") {
 		format = "tree"
 	}
-	s.renderTrace(w, r, format)
-}
-
-// renderTrace renders the trace of job {id} in the given format
-// ("tree", "spans", or anything else for Chrome trace-event JSON).
-func (s *Server) renderTrace(w http.ResponseWriter, r *http.Request, format string) {
-	id := r.PathValue("id")
-	tr, ok := s.lookupTrace(id)
-	if !ok {
-		s.writeError(w, cerr.New(cerr.CodeInvalidParams, "server: no trace for job %q", id), http.StatusNotFound)
-		return
-	}
-	switch format {
-	case "tree":
+	var b []byte
+	var err error
+	switch {
+	case format == "tree":
+		text := tr.Tree()
+		if merged != nil {
+			text = merged.Tree()
+		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		w.WriteHeader(http.StatusOK)
-		io.WriteString(w, tr.Tree())
-		return
-	case "spans":
+		io.WriteString(w, text)
+		return nil
+	case format == "spans" && merged != nil:
+		b, err = merged.SpanSet().JSON()
+	case format == "spans":
 		// The wire span set a gateway fetches to merge this shard's
 		// slice of a distributed trace into the end-to-end view.
 		node := ""
 		if cl := s.cfg.Cluster; cl != nil {
 			node = cl.Self()
 		}
-		b, err := tr.SpanSet(node).JSON()
-		if err != nil {
-			s.writeError(w, cerr.Wrap(cerr.CodeInternal, err, "server: span set rendering"), 0)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		w.WriteHeader(http.StatusOK)
-		w.Write(b)
-		return
+		b, err = tr.SpanSet(node).JSON()
+	case merged != nil:
+		b, err = merged.ChromeJSON()
+	default:
+		b, err = tr.ChromeJSON()
 	}
-	b, err := tr.ChromeJSON()
 	if err != nil {
-		s.writeError(w, cerr.Wrap(cerr.CodeInternal, err, "server: trace rendering"), 0)
-		return
+		return cerr.Wrap(cerr.CodeInternal, err, "server: trace rendering")
 	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
 	w.Write(b)
+	return nil
 }
-
-// Log is a convenience constructor for the structured request logger.
-func Log(w io.Writer) *log.Logger { return log.New(w, "", 0) }
 
 func msSince(t time.Time) float64 {
 	return float64(time.Since(t).Microseconds()) / 1000

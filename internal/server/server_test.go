@@ -142,9 +142,9 @@ func TestCompileSyncAndCacheHit(t *testing.T) {
 	if cacheStats["hits"].(float64) < 1 {
 		t.Fatalf("cache hits not counted: %v", cacheStats)
 	}
-	srv := metrics["server"].(map[string]any)
-	if srv["compile_cache_hits"].(float64) < 1 {
-		t.Fatalf("expvar hit counter missing: %v", srv)
+	reg := metrics["obs"].(map[string]any)
+	if reg["compile_cache_hits_total"].(float64) < 1 {
+		t.Fatalf("obs hit counter missing: %v", reg)
 	}
 }
 
@@ -257,7 +257,7 @@ func TestOverloadBackpressures429(t *testing.T) {
 	ts, _, q, _ := testServer(t, jobs.Config{Workers: 1, Capacity: 1, Deadline: time.Minute}, 1<<20)
 	// Saturate the worker via the jobs API directly (deterministic).
 	release := make(chan struct{})
-	q.Submit("block-worker", jobs.Interactive, func(ctx context.Context) (any, error) {
+	q.SubmitTraced("block-worker", jobs.Interactive, nil, func(ctx context.Context) (any, error) {
 		<-release
 		return nil, nil
 	})
@@ -268,7 +268,7 @@ func TestOverloadBackpressures429(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	// Fill the single queue slot.
-	q.Submit("fill-slot", jobs.Interactive, func(ctx context.Context) (any, error) { return nil, nil })
+	q.SubmitTraced("fill-slot", jobs.Interactive, nil, func(ctx context.Context) (any, error) { return nil, nil })
 
 	status, m := postCompile(t, ts, smallReq, "?async=1")
 	if status != http.StatusTooManyRequests {
@@ -382,15 +382,22 @@ func TestMetricsDocumentShape(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("metrics %d", code)
 	}
-	for _, k := range []string{"server", "cache", "queue", "uptime_s"} {
+	for _, k := range []string{"obs", "cache", "queue", "uptime_s"} {
 		if _, ok := m[k]; !ok {
 			t.Fatalf("metrics missing %q: %v", k, m)
 		}
 	}
-	srv := m["server"].(map[string]any)
-	byCode := srv["errors_by_code"].(map[string]any)
+	if _, ok := m["server"]; ok {
+		t.Fatalf("metrics still carries the retired server member: %v", m)
+	}
+	reg := m["obs"].(map[string]any)
+	byCode := reg["http_errors_total"].(map[string]any)
 	if byCode["ERR_INVALID_PARAMS"].(float64) < 1 {
 		t.Fatalf("error counter missing: %v", byCode)
+	}
+	byStatus := reg["http_responses_total"].(map[string]any)
+	if byStatus["400"].(float64) < 1 {
+		t.Fatalf("status counter missing: %v", byStatus)
 	}
 }
 

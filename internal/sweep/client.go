@@ -243,68 +243,60 @@ func (c *Client) backoff(n int, retryAfter time.Duration) time.Duration {
 	return d
 }
 
+// retry runs once up to Retry.MaxAttempts times behind endpoint's
+// circuit breaker, backing off between transient failures; a
+// non-transient failure, success or a done ctx ends it early.
+func (c *Client) retry(ctx context.Context, endpoint string, once func() (retryAfter time.Duration, transient bool, err error)) error {
+	attempts := max(c.Retry.MaxAttempts, 1)
+	var err error
+	for attempt := 0; attempt < attempts; attempt++ {
+		if err = c.breakerAllows(endpoint); err != nil {
+			return err
+		}
+		var retryAfter time.Duration
+		var transient bool
+		retryAfter, transient, err = once()
+		c.recordOutcome(endpoint, err != nil && transient)
+		if err == nil || !transient || ctx.Err() != nil {
+			return err
+		}
+		if attempt < attempts-1 {
+			time.Sleep(c.backoff(attempt, retryAfter))
+		}
+	}
+	return err
+}
+
 // do runs one exchange with retries and decodes the envelope,
 // converting wire errors into typed errors. Exchanges are idempotent
 // (content-addressed bodies), so POSTs retry as safely as GETs.
 func (c *Client) do(method, path string, body []byte) (*envelope, error) {
-	attempts := c.Retry.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	endpoint := endpointOf(c.Base)
-	var lastErr error
-	for attempt := 0; attempt < attempts; attempt++ {
-		if err := c.breakerAllows(endpoint); err != nil {
-			return nil, err
-		}
-		env, retryAfter, transient, err := c.doOnce(method, path, body)
-		c.recordOutcome(endpoint, err != nil && transient)
-		if err == nil {
-			return env, nil
-		}
-		lastErr = err
-		if !transient || attempt == attempts-1 {
-			return nil, err
-		}
-		time.Sleep(c.backoff(attempt, retryAfter))
-	}
-	return nil, lastErr
+	var env *envelope
+	err := c.retry(context.Background(), endpointOf(c.Base), func() (retryAfter time.Duration, transient bool, err error) {
+		env, retryAfter, transient, err = c.doOnce(method, path, body)
+		return retryAfter, transient, err
+	})
+	return env, err
 }
 
-// doOnce runs a single exchange. transient reports whether the
-// failure class is retryable; retryAfter carries the server's
-// Retry-After hint (0 when absent).
+// doOnce runs a single enveloped exchange. transient reports whether
+// the failure class is retryable: a transport failure (the daemon may
+// be restarting, unlike a malformed request), shed load and the
+// gateway-class statuses. retryAfter carries the server's Retry-After
+// hint (0 when absent).
 func (c *Client) doOnce(method, path string, body []byte) (env *envelope, retryAfter time.Duration, transient bool, err error) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequest(method, c.Base+path, rd)
+	resp, err := c.doRawOnce(context.Background(), method, c.Base+path, body)
 	if err != nil {
-		return nil, 0, false, cerr.Wrap(cerr.CodeInvalidParams, err, "sweep client: bad request")
+		return nil, 0, cerr.CodeOf(err) != cerr.CodeInvalidParams, err
 	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		// Transport failure: connection refused, reset, timeout — all
-		// worth a retry (the daemon may be restarting).
-		return nil, 0, true, cerr.Wrap(cerr.CodeInternal, err, "sweep client: %s %s", method, path)
-	}
-	defer resp.Body.Close()
 	if secs, aerr := strconv.Atoi(resp.Header.Get("Retry-After")); aerr == nil && secs > 0 {
 		retryAfter = time.Duration(secs) * time.Second
 	}
-	transient = transientStatus(resp.StatusCode)
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
-		return nil, retryAfter, true, cerr.Wrap(cerr.CodeInternal, err, "sweep client: reading %s", path)
-	}
+	transient = transientStatus(resp.Status)
 	var decoded envelope
-	if err := json.Unmarshal(raw, &decoded); err != nil {
+	if err := json.Unmarshal(resp.Body, &decoded); err != nil {
 		return nil, retryAfter, transient, cerr.Wrap(cerr.CodeInternal, err,
-			"sweep client: %s %s returned non-envelope JSON (status %d)", method, path, resp.StatusCode)
+			"sweep client: %s %s returned non-envelope JSON (status %d)", method, path, resp.Status)
 	}
 	if decoded.Error != nil {
 		if decoded.Error.Code == cerr.CodeOverloaded.String() {
@@ -312,9 +304,9 @@ func (c *Client) doOnce(method, path string, body []byte) (env *envelope, retryA
 		}
 		return nil, retryAfter, transient, decoded.Error
 	}
-	if resp.StatusCode >= 400 {
+	if resp.Status >= 400 {
 		return nil, retryAfter, transient, cerr.New(cerr.CodeInternal,
-			"sweep client: %s %s: status %d with null error", method, path, resp.StatusCode)
+			"sweep client: %s %s: status %d with null error", method, path, resp.Status)
 	}
 	return &decoded, retryAfter, false, nil
 }
@@ -336,30 +328,19 @@ type RawResponse struct {
 // through untouched. The per-endpoint breaker still applies, fed by
 // transport failures alone.
 func (c *Client) DoRaw(ctx context.Context, method, absURL string, body []byte) (*RawResponse, error) {
-	attempts := c.Retry.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	endpoint := endpointOf(absURL)
-	var lastErr error
-	for attempt := 0; attempt < attempts; attempt++ {
-		if err := c.breakerAllows(endpoint); err != nil {
-			return nil, err
-		}
-		resp, err := c.doRawOnce(ctx, method, absURL, body)
-		c.recordOutcome(endpoint, err != nil)
-		if err == nil {
-			return resp, nil
-		}
-		lastErr = err
-		if ctx != nil && ctx.Err() != nil {
-			return nil, lastErr
-		}
-		if attempt < attempts-1 {
-			time.Sleep(c.backoff(attempt, 0))
-		}
+	var resp *RawResponse
+	err := c.retry(ctx, endpointOf(absURL), func() (time.Duration, bool, error) {
+		var err error
+		resp, err = c.doRawOnce(ctx, method, absURL, body)
+		return 0, true, err
+	})
+	if err != nil {
+		return nil, err
 	}
-	return nil, lastErr
+	return resp, nil
 }
 
 // doRawOnce runs a single raw exchange; every returned error is
@@ -369,12 +350,9 @@ func (c *Client) doRawOnce(ctx context.Context, method, absURL string, body []by
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	req, err := http.NewRequestWithContext(ctx, method, absURL, rd)
 	if err != nil {
-		return nil, cerr.Wrap(cerr.CodeInvalidParams, err, "sweep client: bad raw request")
+		return nil, cerr.Wrap(cerr.CodeInvalidParams, err, "sweep client: bad request")
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")

@@ -215,6 +215,13 @@ func TestJournalFreshIDsSkipResumedOnes(t *testing.T) {
 		t.Fatalf("fresh sweep collided with resumed ID %s", sw.ID)
 	}
 	wait(t, fresh)
+	// The resumed sweep writes its journal until it finishes; wait for
+	// it too, so the test's directory is quiet when it is removed.
+	resumed, ok := h.mgr.Get(sw.ID)
+	if !ok {
+		t.Fatalf("resumed sweep %s not registered", sw.ID)
+	}
+	wait(t, resumed)
 }
 
 func TestJournalValidation(t *testing.T) {

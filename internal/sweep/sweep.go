@@ -429,6 +429,10 @@ type Config struct {
 	// OnJob, when non-nil, observes every job the manager submits
 	// (the server uses it to make sweep jobs visible on /v1/jobs).
 	OnJob func(j *jobs.Job, key string)
+	// TraceJobs gives every submitted job a trace, so a Run that reads
+	// the trace from its context sees the job's queue wait and stage
+	// spans. The manager keeps no trace.
+	TraceJobs bool
 	// Registry receives the sweep counters; nil disables telemetry.
 	Registry *obs.Registry
 	// MaxPoints caps one sweep's cross product; <= 0 means
@@ -628,7 +632,11 @@ func (m *Manager) create(spec Spec, forcedID string) (*Sweep, error) {
 		params := g.params
 		key := g.key
 		req := g.req
-		job, _, serr := m.cfg.Queue.Submit(key, pri, func(ctx context.Context) (any, error) {
+		var tr *obs.Trace
+		if m.cfg.TraceJobs {
+			tr = obs.NewTrace("")
+		}
+		job, _, serr := m.cfg.Queue.SubmitTraced(key, pri, tr, func(ctx context.Context) (any, error) {
 			return m.cfg.Run(ctx, key, req, params)
 		})
 		if serr != nil {
@@ -742,10 +750,12 @@ func (m *Manager) finishGroup(sw *Sweep, g *group, entry *cache.Entry, err error
 	}
 	sw.mu.Unlock()
 	if finished {
-		close(sw.done)
+		// The journal record goes before waiters wake: a finished sweep
+		// must never be resumable, not even by a restart in between.
 		if !transient {
 			m.cfg.Journal.Complete(sw.ID)
 		}
+		close(sw.done)
 	}
 }
 
